@@ -801,14 +801,6 @@ def model_check(
 # goal-level checking, used by the VC soundness oracle ----------------------
 
 
-class _FreshAddrs:
-    def __init__(self, pool):
-        self.pool = list(pool)
-
-    def take(self, n):
-        return self.pool[:n]
-
-
 def _clause_extensions(clause, env, heap, valuation, pool, max_seg=2):
     """Enumerate concrete disjoint extensions (cells dict, need) satisfying a clause.
 

@@ -151,6 +151,7 @@ class AnalysisReport:
     procs: tuple[ProcOutcome, ...]
     timings: dict[str, float]
     warnings: tuple[str, ...]
+    lp_pivots: int
 
     def to_json(self) -> dict:
         return {
@@ -181,6 +182,7 @@ class AnalysisReport:
             ],
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "warnings": list(self.warnings),
+            "stats": {"lp_pivots": self.lp_pivots},
         }
 
 
@@ -272,6 +274,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
         procs=tuple(procs),
         timings={"vcgen": t_vcgen, "prove": t_prove, "lp": t_lp},
         warnings=tuple(warnings),
+        lp_pivots=sol.pivots,
     )
 
 

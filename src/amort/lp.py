@@ -7,16 +7,18 @@ Everything here is exact ``Fraction`` arithmetic: a feasible answer satisfies
 every constraint exactly, and the published corpus values are reproduced
 bit-for-bit rather than within a tolerance.
 
-The solver is a plain two-phase primal simplex with Bland's rule (lowest
-eligible index enters; ties on the ratio test leave by lowest basic variable
-index), which makes it deterministic and immune to cycling.  A brute-force
-vertex enumerator over the same problem type serves as an independent test
-oracle for small instances.
+The solver is a sparse exact simplex with a lexicographic warm start: a
+two-phase primal simplex over ``{column: Fraction}`` rows with Bland's rule
+(lowest eligible index enters; ties on the ratio test leave by lowest basic
+variable index), which makes it deterministic and immune to cycling.  The
+secondary objective of ``solve_lexicographic`` continues from the primary
+optimal basis instead of solving a second, pinned problem.  The brute-force
+vertex enumerator that serves as an independent oracle lives with the tests,
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -26,10 +28,6 @@ from .resources import ResourceExpr
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-
-class LpSizeError(ValueError):
-    """The brute-force oracle was handed a problem above its size bounds."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,7 @@ class LpSolution:
     valuation: Optional[dict] = None  # variable name -> Fraction
     objective: Optional[Fraction] = None
     certificate: Optional[tuple] = None  # Farkas multipliers, one per row
+    pivots: int = 0  # simplex pivots across every phase of this solve
 
     @property
     def optimal(self) -> bool:
@@ -115,112 +114,157 @@ def lp_dump(p: LpProblem) -> str:
 # simplex
 
 
-def _pivot(rows, z, r, c):
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
-    if z[c] != 0:
-        f = z[c]
-        z[:] = [a - f * b for a, b in zip(z, rows[r])]
+class _Tableau:
+    """Sparse simplex tableau: each row is a ``{column: nonzero Fraction}``
+    dict with its right-hand side kept apart, so a pivot touches only the
+    rows with a nonzero in the entering column and only the nonzero entries
+    of the pivot row.  Reduced-cost rows are dicts of the same form."""
+
+    def __init__(self, rows: list[dict], rhs: list[Fraction], basis: list[int]):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.pivots = 0
+
+    def cost_row(self, cost: Mapping[int, Fraction]) -> dict:
+        """Reduced costs of ``cost`` on the current basis."""
+        z = dict(cost)
+        for row, b in zip(self.rows, self.basis):
+            f = cost.get(b)
+            if f:
+                _eliminate(z, f, row)
+        return z
+
+    def pivot(self, r: int, c: int, z: Optional[dict] = None) -> None:
+        row = self.rows[r]
+        piv = row[c]
+        if piv != 1:
+            for k in row:
+                row[k] /= piv
+            self.rhs[r] /= piv
+        b = self.rhs[r]
+        for i, other in enumerate(self.rows):
+            f = other.get(c)
+            if f is not None and i != r:
+                _eliminate(other, f, row)
+                self.rhs[i] -= f * b
+        if z is not None and c in z:
+            _eliminate(z, z[c], row)
+        self.basis[r] = c
+        self.pivots += 1
+
+    def bland(self, z: dict, barred: frozenset = frozenset()) -> str:
+        """Simplex iterations until optimal or unbounded: the lowest-index
+        column with a negative reduced cost enters (``barred`` columns never
+        do); ratio ties leave by the lowest basic index."""
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        while True:
+            enter = min((j for j, d in z.items() if d < 0 and j not in barred), default=None)
+            if enter is None:
+                return OPTIMAL
+            leave = None
+            best = None
+            for i, row in enumerate(rows):
+                a = row.get(enter)
+                if a is not None and a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                return UNBOUNDED
+            self.pivot(leave, enter, z)
 
 
-def _bland(rows, basis, z) -> str:
-    """Run simplex iterations until optimal or unbounded."""
-    while True:
-        enter = next((j for j in range(len(z) - 1) if z[j] < 0), None)
-        if enter is None:
-            return OPTIMAL
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave is None:
-            return UNBOUNDED
-        _pivot(rows, z, leave, enter)
-        basis[leave] = enter
+def _eliminate(target: dict, f: Fraction, row: dict) -> None:
+    """target -= f * row, dropping entries that cancel to zero."""
+    for k, v in row.items():
+        t = target.get(k)
+        if t is None:
+            target[k] = -f * v
+        else:
+            t -= f * v
+            if t:
+                target[k] = t
+            else:
+                del target[k]
 
 
-def solve(p: LpProblem, want_certificate: bool = True) -> LpSolution:
+def solve(
+    p: LpProblem,
+    secondary: Optional[Sequence[Fraction]] = None,
+    want_certificate: bool = True,
+) -> LpSolution:
     """Two-phase simplex.  Optimal solutions satisfy every row exactly;
     infeasible problems come back with Farkas multipliers y >= 0 such that
-    y.A <= 0 componentwise yet y.b > 0."""
+    y.A <= 0 componentwise yet y.b > 0.
+
+    With ``secondary`` (one coefficient per variable) the optimum is
+    lexicographic: once ``p.objective`` is optimal, every column with a
+    positive reduced cost is barred from entry, which confines the search to
+    the primary optimal face, and Bland's rule continues from the same basis
+    on the secondary cost row.  The reported objective is the primary one."""
     n = len(p.variables)
     m = len(p.rows)
-    # columns: structural | one slack per row | artificials (appended)
+    # columns: structural | one slack per row | one artificial per row that needs it
     width = n + m
-    rows: list[list[Fraction]] = []
+    rows: list[dict] = []
+    rhs: list[Fraction] = []
     basis: list[int] = []
-    art_cols: list[int] = []
+    n_art = 0
     for i, (coeffs, bound) in enumerate(p.rows):
-        row = [Fraction(c) for c in coeffs] + [Fraction(0)] * m
+        row = {j: Fraction(c) for j, c in enumerate(coeffs) if c != 0}
         if bound <= 0:
             # flip to  -coeffs . y <= -bound  with a basic slack
-            row = [-v for v in row]
+            row = {j: -v for j, v in row.items()}
             row[n + i] = Fraction(1)
-            rows.append(row + [Fraction(-bound)])
             basis.append(n + i)
+            rhs.append(Fraction(-bound))
         else:
             row[n + i] = Fraction(-1)  # surplus
-            rows.append(row + [Fraction(bound)])
-            basis.append(-1)  # placeholder, artificial assigned below
-            art_cols.append(i)
+            row[width + n_art] = Fraction(1)
+            basis.append(width + n_art)
+            rhs.append(Fraction(bound))
+            n_art += 1
+        rows.append(row)
+    t = _Tableau(rows, rhs, basis)
 
-    # append artificial columns for the rows that need them
-    total = width + len(art_cols)
-    for row in rows:
-        rhs = row.pop()
-        row.extend([Fraction(0)] * len(art_cols))
-        row.append(rhs)
-    for k, i in enumerate(art_cols):
-        rows[i][width + k] = Fraction(1)
-        basis[i] = width + k
-
-    if art_cols:
-        cost1 = [Fraction(0)] * total
-        for k in range(len(art_cols)):
-            cost1[width + k] = Fraction(1)
-        z1 = [Fraction(c) for c in cost1] + [Fraction(0)]
-        for i, b in enumerate(basis):
-            if cost1[b] != 0:
-                z1 = [a - cost1[b] * v for a, v in zip(z1, rows[i])]
-        status = _bland(rows, basis, z1)
+    if n_art:
+        z1 = t.cost_row({width + k: Fraction(1) for k in range(n_art)})
+        status = t.bland(z1)
         assert status == OPTIMAL  # phase 1 is bounded below by 0
-        if -z1[-1] > 0:
+        if sum(rhs[i] for i, b in enumerate(basis) if b >= width) > 0:
             cert = _farkas(p) if want_certificate else None
-            return LpSolution(INFEASIBLE, certificate=cert)
+            return LpSolution(INFEASIBLE, certificate=cert, pivots=t.pivots)
         # drive leftover artificials out of the basis, dropping redundant rows
         keep = []
         for i in range(len(rows)):
             if basis[i] >= width:
-                col = next((j for j in range(width) if rows[i][j] != 0), None)
+                col = min((j for j in rows[i] if j < width), default=None)
                 if col is None:
                     continue  # 0 = 0 row
-                _pivot(rows, z1, i, col)
-                basis[i] = col
+                t.pivot(i, col)
             keep.append(i)
-        rows = [rows[i][:width] + [rows[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
+        t.rows = [{j: v for j, v in rows[i].items() if j < width} for i in keep]
+        t.rhs = [rhs[i] for i in keep]
+        t.basis = [basis[i] for i in keep]
 
-    cost2 = [Fraction(c) for c in p.objective] + [Fraction(0)] * m
-    z2 = list(cost2) + [Fraction(0)]
-    for i, b in enumerate(basis):
-        if cost2[b] != 0:
-            z2 = [a - cost2[b] * v for a, v in zip(z2, rows[i])]
-    status = _bland(rows, basis, z2)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED)
+    barred: frozenset = frozenset()
+    for cost in (p.objective, secondary):
+        if cost is None:
+            continue
+        z = t.cost_row({j: Fraction(c) for j, c in enumerate(cost) if c != 0})
+        if t.bland(z, barred) == UNBOUNDED:
+            return LpSolution(UNBOUNDED, pivots=t.pivots)
+        # objective = optimum + sum(d_j * x_j) on every feasible point, so the
+        # optimal face is x_j = 0 wherever d_j > 0; later pivots enter only
+        # columns with d_j = 0, which leave these reduced costs unchanged
+        barred = barred | {j for j, d in z.items() if d > 0}
     valuation = {v: Fraction(0) for v in p.variables}
-    for i, b in enumerate(basis):
+    for b, x in zip(t.basis, t.rhs):
         if b < n:
-            valuation[p.variables[b]] = rows[i][-1]
+            valuation[p.variables[b]] = x
     value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
-    return LpSolution(OPTIMAL, valuation, value)
+    return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
 
 
 def _farkas(p: LpProblem) -> Optional[tuple]:
@@ -254,70 +298,6 @@ def verify_certificate(p: LpProblem, cert: Sequence[Fraction]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
-
-
-def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None  # singular
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [v / f for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [v - g * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def enumerate_vertices_oracle(p: LpProblem, max_vars: int = 6, max_rows: int = 12) -> LpSolution:
-    """Independent optimum: try every basic point (intersection of n active
-    constraints drawn from the rows and the axes), keep the feasible ones,
-    return the best.  Only for small instances; exact throughout."""
-    n = len(p.variables)
-    m = len(p.rows)
-    if n > max_vars or m > max_rows:
-        raise LpSizeError(f"oracle limited to {max_vars} variables / {max_rows} rows")
-    if any(c < 0 for c in p.objective):
-        raise LpSizeError("oracle requires a nonnegative objective")
-
-    planes = [(list(coeffs), bound) for coeffs, bound in p.rows]
-    for j in range(n):
-        axis = [Fraction(0)] * n
-        axis[j] = Fraction(1)
-        planes.append((axis, Fraction(0)))
-
-    def feasible(pt) -> bool:
-        if any(v < 0 for v in pt):
-            return False
-        return all(
-            sum(c * v for c, v in zip(coeffs, pt)) >= bound for coeffs, bound in p.rows
-        )
-
-    best_val = None
-    best_pt = None
-    for combo in itertools.combinations(range(len(planes)), n):
-        mat = [planes[i][0] for i in combo]
-        rhs = [planes[i][1] for i in combo]
-        pt = _gauss_solve(mat, rhs)
-        if pt is None or not feasible(pt):
-            continue
-        val = sum((c * v for c, v in zip(p.objective, pt)), Fraction(0))
-        if best_val is None or val < best_val:
-            best_val = val
-            best_pt = pt
-    if best_val is None:
-        # the feasible region of {A y >= b, y >= 0} is pointed, so if it is
-        # nonempty some vertex would have shown up
-        return LpSolution(INFEASIBLE)
-    return LpSolution(OPTIMAL, dict(zip(p.variables, best_pt)), best_val)
-
-
-# ---------------------------------------------------------------------------
 # the inference objective
 
 
@@ -326,22 +306,11 @@ def solve_lexicographic(
     primary: Sequence[str],
     variables: Sequence[str],
 ) -> LpSolution:
-    """Minimise the precondition variables first, then — with that optimum
-    pinned — the remaining pool, so reported annotations are tight
-    everywhere and alternate-optimum noise cannot leak into the output."""
-    cons = list(constraints)
-    p1 = problem_from_constraints(cons, list(primary), variables)
-    s1 = solve(p1)
-    if not s1.optimal:
-        return s1
+    """Minimise the precondition variables first, then — within that optimum —
+    the remaining pool, so reported annotations are tight everywhere and
+    alternate-optimum noise cannot leak into the output.  One solve: the
+    secondary objective continues from the primary optimal basis."""
+    p = problem_from_constraints(constraints, list(primary), variables)
     primary_set = set(primary)
-    secondary = [v for v in variables if v not in primary_set]
-    if not secondary:
-        return s1
-    # pin: sum of primary <= optimum (the >= direction is already implied)
-    pin_coeffs = tuple(Fraction(-1) if v in primary_set else Fraction(0) for v in variables)
-    p2 = problem_from_constraints(cons, secondary, variables)
-    rows = p2.rows + ((pin_coeffs, -s1.objective),)
-    s2 = solve(LpProblem(p2.variables, rows, p2.objective))
-    assert s2.optimal  # s1's solution is feasible for p2
-    return LpSolution(OPTIMAL, s2.valuation, s1.objective)
+    secondary = tuple(Fraction(0) if v in primary_set else Fraction(1) for v in p.variables)
+    return solve(p, secondary if any(secondary) else None)

@@ -142,10 +142,6 @@ class ResourceExpr:
         return out
 
 
-def expr_eval(expr: ResourceExpr, valuation: Mapping[str, Fraction]) -> Fraction:
-    return expr.eval(valuation)
-
-
 def sum_exprs(exprs: Iterable[ResourceExpr]) -> ResourceExpr:
     total = ResourceExpr.const(0)
     for e in exprs:

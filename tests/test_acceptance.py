@@ -27,9 +27,10 @@ from amort.assertions import (
 )
 from amort.bytecode import parse_program_file, validate
 from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
-from amort.lp import LpProblem, enumerate_vertices_oracle, lp_dump, solve
+from amort.lp import LpProblem, lp_dump, solve
 from amort.prover import prove_vc
 from amort.vcgen import VerificationCondition, gen_program_vcs
+from oracles import enumerate_vertices_oracle
 
 F = Fraction
 

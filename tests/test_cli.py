@@ -25,6 +25,18 @@ class TestAnalyze:
         assert payload["valuation"]["x"] == "1"
         assert all(vc["ok"] for vc in payload["vcs"])
 
+    def test_json_reports_lp_pivots(self, capsys):
+        # the count is machine-independent: it repeats exactly, and the
+        # lexicographic warm start needs fewer pivots than the 88 that two
+        # from-scratch solves took on merge_inner
+        counts = []
+        for _ in range(2):
+            assert run_cli("analyze", "merge_inner", "--json", "-") == cli.EXIT_OK
+            out = capsys.readouterr().out
+            counts.append(json.loads(out[out.index("\n{") :])["stats"]["lp_pivots"])
+        assert counts[0] == counts[1]
+        assert 0 < counts[0] < 88
+
     def test_emit_constraints_shows_rows(self, capsys):
         assert run_cli("analyze", "iterate_list", "--emit-constraints") == cli.EXIT_OK
         assert "$x" in capsys.readouterr().out

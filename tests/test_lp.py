@@ -9,8 +9,6 @@ from amort.lp import (
     INFEASIBLE,
     OPTIMAL,
     LpProblem,
-    LpSizeError,
-    enumerate_vertices_oracle,
     lp_dump,
     problem_from_constraints,
     solve,
@@ -19,6 +17,7 @@ from amort.lp import (
 )
 from amort.prover import Constraint
 from amort.resources import ResourceExpr
+from oracles import LpSizeError, enumerate_vertices_oracle, pinned_lexicographic
 
 F = Fraction
 V = ResourceExpr.var
@@ -166,3 +165,36 @@ class TestLexicographic:
         s = solve_lexicographic(cons, ["x"], ["x"])
         assert s.status == INFEASIBLE
         assert s.certificate is not None
+
+    def test_warm_start_matches_pinned_reference(self):
+        # random instances with repeated rows (ratio ties), zero right-hand
+        # sides (degenerate vertices) and secondary variables the primary
+        # optimum does not determine; the secondary optimum may be reached at
+        # a different vertex, so only its value is compared
+        rng = random.Random(1977)
+        coeffs = [-1, 0, 0, 1, 1, 2]
+        for trial in range(300):
+            n = rng.randint(2, 6)
+            names = [f"v{i}" for i in range(n)]
+            primary = rng.sample(names, rng.randint(1, n - 1))
+            cons = []
+            for _ in range(rng.randint(1, 8)):
+                lhs = sum((V(v, rng.choice(coeffs)) for v in names), C(rng.randint(-1, 2)))
+                rhs = C(rng.choice([0, 0, 1, 2]))
+                cons.append(Constraint(lhs, rhs))
+                if rng.random() < 0.3:
+                    cons.append(cons[rng.randrange(len(cons))])
+            got = solve_lexicographic(cons, primary, names)
+            want = pinned_lexicographic(cons, primary, names)
+            msg = f"trial {trial}: {[str(c) for c in cons]} primary {primary}"
+            assert got.status == want.status, msg
+            if not got.optimal:
+                continue
+            assert got.objective == want.objective, msg
+
+            def secondary(s):
+                return sum(s.valuation[v] for v in names if v not in primary)
+
+            assert secondary(got) == secondary(want), msg
+            for c in cons:
+                assert c.lhs.eval(got.valuation) >= c.rhs.eval(got.valuation), msg
