@@ -7,18 +7,17 @@ with the connectives the weakest-precondition generator needs (``*``,
 ``-*``, conjunction, pure implication, quantifiers).
 
 Also here: capture-avoiding substitution, a union-find decision procedure
-for the pure fragment, the text parser, and a bounded model checker used as
-an independent oracle by the test suite.
+for the pure fragment, and the text parser.  The bounded model checker that
+the test suite uses as an independent oracle lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .resources import ResourceExpr, parse_rational
+from .resources import ResourceExpr
 
 # ---------------------------------------------------------------------------
 # terms
@@ -656,312 +655,3 @@ def parse_assertion(text: str) -> Assertion:
     if k != "eof":
         raise AssertionParseError(f"trailing input {v!r}", pos)
     return tuple(clauses)
-
-
-# ---------------------------------------------------------------------------
-# bounded model checking (test oracle)
-#
-# Concrete values mirror the VM: Python int, vm.Addr, or None for null.
-
-
-def _denote(term: Term, env: Mapping[str, object]):
-    if isinstance(term, Var):
-        if term.name not in env:
-            raise KeyError(f"unbound variable {term.name} in model")
-        return env[term.name]
-    if isinstance(term, IntLit):
-        return term.value
-    if isinstance(term, NullTerm):
-        return None
-    raise TypeError(term)
-
-
-def _atom_layouts(atom, env, heap, valuation) -> Iterator[tuple[frozenset, Fraction]]:
-    """Yield (cells, resource need) ways the atom can hold in `heap`."""
-    if isinstance(atom, PointsTo):
-        a = _denote(atom.obj, env)
-        v = _denote(atom.value, env)
-        cell = (a, atom.field)
-        if a is not None and not isinstance(a, int) and cell in heap and heap[cell] == v:
-            yield frozenset([cell]), Fraction(0)
-        return
-    if isinstance(atom, ListSeg):
-        per = atom.ann.eval(valuation)
-        if per < 0:
-            return
-        start = _denote(atom.start, env)
-        end = _denote(atom.end, env)
-
-        def walk(cur, used):
-            if cur == end:
-                yield used, Fraction(0)
-            if cur is None or isinstance(cur, int):
-                return
-            nc, dc = (cur, LSEG_NEXT), (cur, LSEG_DATA)
-            if nc in heap and dc in heap and nc not in used:
-                nxt = heap[nc]
-                for cells, need in walk(nxt, used | {nc, dc}):
-                    yield cells, need + per
-
-        yield from walk(start, frozenset())
-        return
-    if isinstance(atom, TreeSeg):
-        per = atom.ann.eval(valuation)
-        if per < 0:
-            return
-        root = _denote(atom.root, env)
-
-        def grow(node, used):
-            if node is None:
-                yield used, Fraction(0)
-                return
-            if isinstance(node, int):
-                return
-            lc, rc = (node, TREE_LEFT), (node, TREE_RIGHT)
-            if lc in heap and rc in heap and lc not in used:
-                for cells_l, need_l in grow(heap[lc], used | {lc, rc}):
-                    for cells_r, need_r in grow(heap[rc], cells_l):
-                        yield cells_r, need_l + need_r + per
-
-        yield from grow(root, frozenset())
-        return
-    raise TypeError(atom)
-
-
-def _clause_layouts(clause: Clause, env, heap, valuation) -> Iterator[tuple[frozenset, Fraction]]:
-    """Yield (cells, need) for the spatial part of a clause, existentials solved."""
-    universe = _model_universe(heap, clause)
-
-    def assign(binders, e):
-        if not binders:
-            pure_ok = True
-            for a in clause.pure:
-                lv, rv = _denote(a.lhs, e), _denote(a.rhs, e)
-                holds = lv == rv if a.op == "=" else lv != rv
-                if not holds:
-                    pure_ok = False
-                    break
-            if not pure_ok:
-                return
-
-            def match(atoms, used, need):
-                if not atoms:
-                    yield used, need
-                    return
-                for cells, n in _atom_layouts(atoms[0], e, heap, valuation):
-                    if cells & used:
-                        continue
-                    yield from match(atoms[1:], used | cells, need + n)
-
-            yield from match(list(clause.heap), frozenset(), Fraction(0))
-            return
-        for v in universe:
-            yield from assign(binders[1:], {**e, binders[0]: v})
-
-    yield from assign(list(clause.exists), dict(env))
-
-
-def _model_universe(heap, clause: Clause | None = None) -> list:
-    addrs = sorted({a for (a, _) in heap}, key=lambda x: getattr(x, "index", 0))
-    ints = sorted({v for v in heap.values() if isinstance(v, int)})
-    extra: list = []
-    if clause is not None:
-        for a in clause.pure:
-            for t in (a.lhs, a.rhs):
-                if isinstance(t, IntLit) and t.value not in ints:
-                    extra.append(t.value)
-    return [None] + addrs + ints + extra
-
-
-def model_check(
-    assertion: Sequence[Clause],
-    env: Mapping[str, object],
-    heap: Mapping,
-    resource: Fraction,
-    valuation: Mapping[str, Fraction] | None = None,
-) -> bool:
-    """Does (env, heap, resource) satisfy the assertion?  Exact heap coverage.
-
-    Intended for small models (a handful of cells); existentials range over
-    the addresses and integers present in the model.
-    """
-    valuation = valuation or {}
-    heap = dict(heap)
-    all_cells = frozenset(heap)
-    for clause in assertion:
-        base = clause.resource.eval(valuation)
-        if base < 0:
-            continue
-        for cells, need in _clause_layouts(clause, env, heap, valuation):
-            if cells == all_cells and need + base <= resource:
-                return True
-    return False
-
-
-# goal-level checking, used by the VC soundness oracle ----------------------
-
-
-def _clause_extensions(clause, env, heap, valuation, pool, max_seg=2):
-    """Enumerate concrete disjoint extensions (cells dict, need) satisfying a clause.
-
-    Used for the -* connective: builds small fresh models of the clause.
-    Segment/tree sizes are bounded by max_seg; data fields take value 0.
-    """
-    universe = _model_universe(heap) + pool
-
-    def assign(binders, e):
-        if binders:
-            for v in universe:
-                yield from assign(binders[1:], {**e, binders[0]: v})
-            return
-        ok = True
-        for a in clause.pure:
-            try:
-                lv, rv = _denote(a.lhs, e), _denote(a.rhs, e)
-            except KeyError:
-                ok = False
-                break
-            if (lv == rv) != (a.op == "="):
-                ok = False
-                break
-        if not ok:
-            return
-
-        def build(atoms, cells, need, fresh_i):
-            if not atoms:
-                yield dict(cells), need
-                return
-            atom, rest = atoms[0], atoms[1:]
-            if isinstance(atom, PointsTo):
-                try:
-                    a, v = _denote(atom.obj, e), _denote(atom.value, e)
-                except KeyError:
-                    return
-                if a is None or isinstance(a, int):
-                    return
-                cell = (a, atom.field)
-                if cell in heap or cell in cells:
-                    return
-                yield from build(rest, {**cells, cell: v}, need, fresh_i)
-            elif isinstance(atom, ListSeg):
-                per = atom.ann.eval(valuation)
-                try:
-                    start, end = _denote(atom.start, e), _denote(atom.end, e)
-                except KeyError:
-                    return
-                if start == end:
-                    yield from build(rest, cells, need, fresh_i)
-                # chains of fresh nodes from start
-                for length in range(1, max_seg + 1):
-                    nodes = pool[fresh_i : fresh_i + length]
-                    if len(nodes) < length or start is None or isinstance(start, int):
-                        break
-                    chain = [start] + nodes[1:] if length > 1 else [start]
-                    if start in pool[:fresh_i] or start in nodes[1:]:
-                        break
-                    new = {}
-                    okc = True
-                    for i, nd in enumerate(chain):
-                        nxt = chain[i + 1] if i + 1 < len(chain) else end
-                        for cell, val in (((nd, LSEG_NEXT), nxt), ((nd, LSEG_DATA), 0)):
-                            if cell in heap or cell in cells or cell in new:
-                                okc = False
-                            new[cell] = val
-                    if okc:
-                        yield from build(rest, {**cells, **new}, need + per * length, fresh_i + length)
-            elif isinstance(atom, TreeSeg):
-                per = atom.ann.eval(valuation)
-                try:
-                    root = _denote(atom.root, e)
-                except KeyError:
-                    return
-                if root is None:
-                    yield from build(rest, cells, need, fresh_i)
-                    return
-                if isinstance(root, int):
-                    return
-                # leaf-only tree of one node, or one node with one fresh child
-                for shape in ([(root, None, None)],):
-                    new = {}
-                    okc = True
-                    for nd, l, r in shape:
-                        for cell, val in (((nd, TREE_LEFT), l), ((nd, TREE_RIGHT), r)):
-                            if cell in heap or cell in cells or cell in new:
-                                okc = False
-                            new[cell] = val
-                    if okc:
-                        yield from build(rest, {**cells, **new}, need + per, fresh_i)
-            else:
-                raise TypeError(atom)
-
-        yield from build(list(clause.heap), {}, Fraction(0), 0)
-
-    yield from assign(list(clause.exists), dict(env))
-
-
-def goal_holds(
-    goal: Goal,
-    env: Mapping[str, object],
-    heap: Mapping,
-    resource: Fraction,
-    valuation: Mapping[str, Fraction] | None = None,
-    pool: Sequence | None = None,
-) -> bool:
-    """Bounded truth of a goal in a concrete model (test oracle).
-
-    Quantifiers range over the model universe plus a small pool of fresh
-    addresses; -* extensions are drawn from the pool with segment sizes <= 2.
-    """
-    valuation = valuation or {}
-    pool = list(pool or [])
-    heap = dict(heap)
-
-    if isinstance(goal, Leaf):
-        return model_check(goal.parts, env, heap, resource, valuation)
-    if isinstance(goal, Star):
-        all_cells = frozenset(heap)
-        for clause in goal.parts:
-            base = clause.resource.eval(valuation)
-            if base < 0:
-                continue
-            for cells, need in _clause_layouts(clause, env, heap, valuation):
-                take = need + base
-                if take > resource:
-                    continue
-                rest_heap = {c: v for c, v in heap.items() if c not in cells}
-                if goal_holds(goal.rest, env, rest_heap, resource - take, valuation, pool):
-                    return True
-        return False
-    if isinstance(goal, Wand):
-        for clause in goal.parts:
-            base = clause.resource.eval(valuation)
-            for cells, need in _clause_extensions(clause, env, heap, valuation, pool):
-                bigger = dict(heap)
-                bigger.update(cells)
-                if not goal_holds(goal.rest, env, bigger, resource + need + base, valuation, pool):
-                    return False
-        return True
-    if isinstance(goal, And):
-        return goal_holds(goal.left, env, heap, resource, valuation, pool) and goal_holds(
-            goal.right, env, heap, resource, valuation, pool
-        )
-    if isinstance(goal, Implies):
-        try:
-            lv, rv = _denote(goal.cond.lhs, env), _denote(goal.cond.rhs, env)
-        except KeyError:
-            return True
-        holds = lv == rv if goal.cond.op == "=" else lv != rv
-        if not holds:
-            return True
-        return goal_holds(goal.rest, env, heap, resource, valuation, pool)
-    if isinstance(goal, Forall):
-        for v in _model_universe(heap) + pool[:1]:
-            if not goal_holds(goal.rest, {**env, goal.var: v}, heap, resource, valuation, pool):
-                return False
-        return True
-    if isinstance(goal, Exists):
-        for v in _model_universe(heap) + pool[:1]:
-            if goal_holds(goal.rest, {**env, goal.var: v}, heap, resource, valuation, pool):
-                return True
-        return False
-    raise TypeError(goal)

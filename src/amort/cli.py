@@ -224,13 +224,11 @@ def analyze_program(prog: Program) -> AnalysisReport:
     sol = solve_lexicographic(constraints, primary, pool)
     t_lp = time.perf_counter() - t2
     if not sol.optimal:
-        detail = ""
-        if sol.certificate is not None:
-            rows = [i + 1 for i, w in enumerate(sol.certificate) if w > 0]
-            detail = f" (unsatisfiable combination of constraints {rows})"
+        rows = [i + 1 for i, w in enumerate(sol.certificate) if w > 0]
         raise AnalysisError(
             EXIT_INFEASIBLE,
-            "no valuation satisfies the resource constraints" + detail,
+            "no valuation satisfies the resource constraints"
+            f" (unsatisfiable combination of constraints {rows})",
             vcs=vcs,
             constraints=constraints,
         )
@@ -393,13 +391,8 @@ def _heap_cells(heap: dict) -> list[dict]:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    try:
-        prog = _load_program(ns.file)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ProgramParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+    prog = _load_program(ns.file)
+    if prog is None:
         return EXIT_PARSE
     entry = prog.proc(prog.entry)
     try:
@@ -585,8 +578,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         for (off, sym), (_, solved) in zip(p.invariants, p.solved_invariants):
             print(f"  invariant@{off}  {sym}")
             print(f"       =>   {solved}")
-    interesting = {k: v for k, v in report.valuation.items()}
-    pairs = ", ".join(f"${k} = {v}" for k, v in sorted(interesting.items()))
+    pairs = ", ".join(f"${k} = {v}" for k, v in sorted(report.valuation.items()))
     print(f"valuation: {pairs}")
     print(f"objective (entry precondition total): {report.objective}")
     print(f"VCs proved: {len(report.vc_outcomes)}; constraints: {len(report.constraints)}")
@@ -618,18 +610,20 @@ def _resolve_path(name: str) -> Path:
     return p  # let the open() error carry the original name
 
 
-def _load_program(name: str) -> Program:
-    return parse_program_file(_resolve_path(name))
+def _load_program(name: str) -> Optional[Program]:
+    """The parsed program, or None after reporting why it could not be read."""
+    try:
+        return parse_program_file(_resolve_path(name))
+    except FileNotFoundError as e:
+        print(f"error: {e}", file=sys.stderr)
+    except ProgramParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+    return None
 
 
 def _load_validated(name: str):
-    try:
-        prog = _load_program(name)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE, None
-    except ProgramParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+    prog = _load_program(name)
+    if prog is None:
         return EXIT_PARSE, None
     problems = validate(prog)
     if problems:

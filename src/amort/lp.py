@@ -12,7 +12,9 @@ two-phase primal simplex over ``{column: Fraction}`` rows with Bland's rule
 (lowest eligible index enters; ties on the ratio test leave by lowest basic
 variable index), which makes it deterministic and immune to cycling.  The
 secondary objective of ``solve_lexicographic`` continues from the primary
-optimal basis instead of solving a second, pinned problem.  The brute-force
+optimal basis instead of solving a second, pinned problem.  An infeasible
+problem comes back with a Farkas certificate read off the final phase-1 cost
+row (the phase-1 duals), so there is one solve either way.  The brute-force
 vertex enumerator that serves as an independent oracle lives with the tests,
 in ``tests/oracles.py``.
 """
@@ -189,14 +191,12 @@ def _eliminate(target: dict, f: Fraction, row: dict) -> None:
                 del target[k]
 
 
-def solve(
-    p: LpProblem,
-    secondary: Optional[Sequence[Fraction]] = None,
-    want_certificate: bool = True,
-) -> LpSolution:
+def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSolution:
     """Two-phase simplex.  Optimal solutions satisfy every row exactly;
     infeasible problems come back with Farkas multipliers y >= 0 such that
-    y.A <= 0 componentwise yet y.b > 0.
+    y.A <= 0 componentwise yet y.b > 0.  These are the phase-1 duals: the
+    final reduced costs of the slack and surplus columns, whose structural
+    reduced costs give y.A <= 0 and whose y.b is the positive phase-1 optimum.
 
     With ``secondary`` (one coefficient per variable) the optimum is
     lexicographic: once ``p.objective`` is optimal, every column with a
@@ -233,7 +233,8 @@ def solve(
         status = t.bland(z1)
         assert status == OPTIMAL  # phase 1 is bounded below by 0
         if sum(rhs[i] for i, b in enumerate(basis) if b >= width) > 0:
-            cert = _farkas(p) if want_certificate else None
+            # row i's multiplier, flipped or not, is the reduced cost of column n + i
+            cert = tuple(z1.get(n + i, Fraction(0)) for i in range(m))
             return LpSolution(INFEASIBLE, certificate=cert, pivots=t.pivots)
         # drive leftover artificials out of the basis, dropping redundant rows
         keep = []
@@ -265,27 +266,6 @@ def solve(
             valuation[p.variables[b]] = x
     value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
     return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
-
-
-def _farkas(p: LpProblem) -> Optional[tuple]:
-    """Find y >= 0 with y.A <= 0 and y.b > 0 by solving a bounded auxiliary
-    problem: maximise y.b with each multiplier capped at 1."""
-    m = len(p.rows)
-    names = tuple(f"y{i}" for i in range(m))
-    rows = []
-    for j in range(len(p.variables)):
-        #  sum_i -A[i][j] . y_i >= 0
-        rows.append((tuple(-p.rows[i][0][j] for i in range(m)), Fraction(0)))
-    for i in range(m):
-        cap = [Fraction(0)] * m
-        cap[i] = Fraction(-1)
-        rows.append((tuple(cap), Fraction(-1)))  # -y_i >= -1
-    objective = tuple(-p.rows[i][1] for i in range(m))  # min -y.b
-    aux = LpProblem(names, tuple(rows), objective)
-    sol = solve(aux, want_certificate=False)
-    if not sol.optimal or sol.objective >= 0:
-        return None
-    return tuple(sol.valuation[name] for name in names)
 
 
 def verify_certificate(p: LpProblem, cert: Sequence[Fraction]) -> bool:

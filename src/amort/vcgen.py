@@ -50,7 +50,6 @@ class VerificationCondition:
     vc_id: str
     antecedent: Assertion
     consequent: Goal
-    note: str = ""
 
     def __str__(self) -> str:
         from .assertions import assertion_str
@@ -443,7 +442,6 @@ def gen_vcs(
                 vc_id=f"{proc.name}@{offset}",
                 antecedent=inv,
                 consequent=consequent,
-                note=f"loop invariant at offset {offset}",
             )
         )
     entry_locals = {slot: Var(name) for slot, (name, _) in enumerate(proc.params)}
@@ -453,7 +451,6 @@ def gen_vcs(
             vc_id=f"{proc.name}@entry",
             antecedent=proc.precondition,
             consequent=entry_goal,
-            note="procedure entry",
         )
     )
     return vcs

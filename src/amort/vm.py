@@ -49,7 +49,6 @@ class Frame:
     stack: tuple  # head = top of stack
     locals: Mapping[int, Value]
     pc: int
-    args: tuple = ()  # the argument list this frame was invoked with
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,6 @@ def step(state: MachineState, program: Program, policy: AcquisitionPolicy = ALWA
                 stack=(),
                 locals={i: v for i, v in enumerate(args)},
                 pc=0,
-                args=args,
             )
             suspended = replace(frame, stack=rest, pc=frame.pc + 1)
             return replace(state, frames=(fresh, suspended) + state.frames[1:])
@@ -434,7 +432,6 @@ def initial_state(
         stack=(),
         locals={i: v for i, v in enumerate(args)},
         pc=0,
-        args=tuple(args),
     )
     return MachineState(
         consumed=ZERO,

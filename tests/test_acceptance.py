@@ -21,8 +21,6 @@ from amort.assertions import (
     PointsTo,
     TreeSeg,
     Var,
-    goal_holds,
-    model_check,
     parse_assertion,
 )
 from amort.bytecode import parse_program_file, validate
@@ -30,7 +28,7 @@ from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
 from amort.lp import LpProblem, lp_dump, solve
 from amort.prover import prove_vc
 from amort.vcgen import VerificationCondition, gen_program_vcs
-from oracles import enumerate_vertices_oracle
+from oracles import enumerate_vertices_oracle, goal_holds, model_check
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from amort.assertions import (
     TreeSeg,
     Var,
     assertion_str,
-    model_check,
     parse_assertion,
     pure_contradiction,
     pure_entails,
@@ -27,6 +26,7 @@ from amort.assertions import (
     Leaf,
 )
 from amort.resources import ResourceExpr
+from oracles import model_check
 
 
 class FakeAddr:

@@ -48,7 +48,9 @@ class TestAnalyze:
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.amr"
         bad.write_text("proc oops(\n")
-        assert run_cli("analyze", str(bad)) == cli.EXIT_PARSE
+        for command in ("analyze", "run", "check"):
+            assert run_cli(command, str(bad)) == cli.EXIT_PARSE
+            assert capsys.readouterr().err.startswith("parse error:")
 
     def test_validate_error_exit(self, tmp_path, capsys):
         src = """
@@ -66,6 +68,7 @@ entry f
 
     def test_infeasible_exit(self, capsys):
         assert run_cli("analyze", "no_budget") == cli.EXIT_INFEASIBLE
+        assert "constraints [1, 2]" in capsys.readouterr().err
 
     def test_proof_failure_exit(self, capsys):
         assert run_cli("analyze", "leak_list") == cli.EXIT_PROOF

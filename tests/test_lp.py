@@ -119,6 +119,8 @@ class TestOracle:
             assert got.status == want.status, f"trial {trial}: {lp_dump(p)}"
             if got.optimal:
                 assert got.objective == want.objective, f"trial {trial}: {lp_dump(p)}"
+            elif got.status == INFEASIBLE:
+                assert verify_certificate(p, got.certificate), f"trial {trial}: {lp_dump(p)}"
 
 
 class TestProblemBuilding:
