@@ -280,28 +280,55 @@ def analyze_program(prog: Program) -> AnalysisReport:
 # input builders: concrete heaps matching the precondition shapes
 
 
+# Built heaps take their addresses and cell keys from these shared tables.
+# Heaps built over the same address range (one per size in `check`, one per
+# job in a replay) then share them, and each heap costs little more than its
+# dict: the (address, field) keys are most of a heap's memory.
+_ADDRS: list = []  # vm.Addr(i) at index i
+_KEYS: dict = {}  # field name -> [(_ADDRS[i], field) at index i]
+
+
+def _addrs(start: int, n: int) -> list:
+    """vm.Addr(i) for i in start .. start + n - 1."""
+    _ADDRS.extend(vm.Addr(i) for i in range(len(_ADDRS), start + n))
+    return _ADDRS[start : start + n]
+
+
+def _keys(field: str, start: int, n: int) -> list:
+    """The cell keys (Addr(i), field) for i in start .. start + n - 1."""
+    _addrs(start, n)
+    keys = _KEYS.setdefault(field, [])
+    keys.extend((_ADDRS[i], field) for i in range(len(keys), start + n))
+    return keys[start : start + n]
+
+
+def _need_size(what: str, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+
+
 def build_list(n: int, next_addr: int = 0, data: Optional[Sequence[int]] = None):
     """A null-terminated list of n nodes; returns (head, heap, next_addr)."""
-    heap: dict = {}
-    head = None
+    _need_size("the list length", n)
     values = list(data) if data is not None else [(i * 37 + 11) % 64 - 17 for i in range(n)]
-    addrs = [vm.Addr(next_addr + i) for i in range(n)]
-    for i, a in enumerate(addrs):
-        heap[(a, "data")] = values[i]
-        heap[(a, "next")] = addrs[i + 1] if i + 1 < n else None
-    if addrs:
-        head = addrs[0]
+    addrs = _addrs(next_addr, n)
+    heap: dict = {}
+    for i, (kd, kn) in enumerate(zip(_keys("data", next_addr, n), _keys("next", next_addr, n))):
+        heap[kd] = values[i]
+        heap[kn] = addrs[i + 1] if i + 1 < n else None
+    head = addrs[0] if addrs else None
     return head, heap, next_addr + n
 
 
 def build_tree(n: int, next_addr: int = 0):
     """A complete binary tree of n nodes; returns (root, heap, next_addr)."""
+    _need_size("the tree size", n)
+    addrs = _addrs(next_addr, n)
     heap: dict = {}
-    addrs = [vm.Addr(next_addr + i) for i in range(n)]
-    for i, a in enumerate(addrs):
+    for i, (kl, kr) in enumerate(zip(_keys("left", next_addr, n), _keys("right", next_addr, n))):
         left, right = 2 * i + 1, 2 * i + 2
-        heap[(a, "left")] = addrs[left] if left < n else None
-        heap[(a, "right")] = addrs[right] if right < n else None
+        heap[kl] = addrs[left] if left < n else None
+        heap[kr] = addrs[right] if right < n else None
     root = addrs[0] if addrs else None
     return root, heap, next_addr + n
 
@@ -316,13 +343,15 @@ def build_pan(handle: int, pan: int, next_addr: int = 0):
     """
     if handle < 1:
         raise ValueError("the handle must contain at least the join node")
+    _need_size("the pan", pan)
     total = handle + pan
-    addrs = [vm.Addr(next_addr + i) for i in range(total)]
-    heap: dict = {}
+    addrs = _addrs(next_addr, total)
     join = addrs[handle - 1]
-    for i, a in enumerate(addrs):
-        heap[(a, "data")] = i
-        heap[(a, "next")] = addrs[i + 1] if i + 1 < total else join
+    heap: dict = {}
+    cells = zip(_keys("data", next_addr, total), _keys("next", next_addr, total))
+    for i, (kd, kn) in enumerate(cells):
+        heap[kd] = i
+        heap[kn] = addrs[i + 1] if i + 1 < total else join
     return addrs[0], join, heap, next_addr + total
 
 
@@ -330,6 +359,7 @@ def build_queue(n: int, next_addr: int = 0):
     """A two-list queue record with n nodes in each list.
 
     Returns (queue_ref, heap, next_addr)."""
+    _need_size("the queue size", n)
     q = vm.Addr(next_addr)
     head, heap, nxt = build_list(n, next_addr + 1)
     tail, tail_heap, nxt = build_list(n, nxt)
@@ -497,6 +527,9 @@ def cmd_check(ns: argparse.Namespace) -> int:
     code, prog = _load_validated(ns.file)
     if prog is None:
         return code
+    if ns.max_size < 0:
+        print(f"error: --max-size must be nonnegative, got {ns.max_size}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         report = analyze_program(prog)
     except AnalysisError as e:
@@ -509,7 +542,11 @@ def cmd_check(ns: argparse.Namespace) -> int:
     worst: Optional[Fraction] = None
     for n in range(ns.max_size + 1):
         args, heap, next_addr, budget = _sized_input(plan, entry, n, report.valuation)
-        result = vm.run(prog, args, budget, fuel=ns.fuel, heap=heap, next_addr=next_addr)
+        try:
+            result = vm.run(prog, args, budget, fuel=ns.fuel, heap=heap, next_addr=next_addr)
+        except vm.VmError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
         if not isinstance(result.outcome, vm.Halt):
             detail = result.to_json()
             why = detail.get("reason", result.kind)
@@ -519,7 +556,7 @@ def cmd_check(ns: argparse.Namespace) -> int:
                 f"(consumed {result.consumed}) {why} {where}".rstrip(),
                 file=sys.stderr,
             )
-            return EXIT_USAGE if result.kind == "Halt" else _RUN_EXITS[result.kind]
+            return _RUN_EXITS[result.kind]
         ratio = None
         if budget > 0:
             ratio = result.consumed / budget

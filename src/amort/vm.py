@@ -7,15 +7,26 @@ variant (`acquire`) can raise the budget mid-run under a deterministic,
 externally supplied policy.
 
 Values are Python ints, `Addr` objects, or None for null.  Heaps map
-(address, field name) pairs to values.  All step functions are pure: they
-return fresh states and never mutate their arguments, which the test
-harness exploits to diff heaps across steps.
+(address, field name) pairs to values.
+
+Each rule is written once, as an in-place update of one mutable machine:
+a heap dict, and a list of frames, each with a list stack (top at the end),
+a locals dict and a pc.  `run` copies the caller's heap once and then
+applies the rules to that machine, so a step costs the same at any heap
+size or call depth.  With `trace=True` it also records a frozen
+`MachineState` after every step, with each stack as a head-first tuple;
+a snapshot copies the heap only after a step that wrote it and freezes
+only the frames the step touched, sharing the rest with the previous
+snapshot.  The single-step functions `step_frame`, `step_mut` and
+`step` are pure wrappers around the same rules: they copy their input into
+a machine, apply one rule and freeze the result, so they never mutate
+their arguments.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -150,13 +161,90 @@ def parse_policy(text: str) -> AcquisitionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# intra-frame steps
+# the machine: every rule updates it in place
 
 
-def _pop(stack: tuple, n: int = 1) -> tuple:
-    if len(stack) < n:
+class _Frame:
+    """A live frame; `stack` is a list whose top is its last element."""
+
+    __slots__ = ("proc", "code", "stack", "locals", "pc")
+
+    def __init__(self, proc: str, code: tuple, stack: list, locals_: dict, pc: int):
+        self.proc, self.code, self.stack, self.locals, self.pc = proc, code, stack, locals_, pc
+
+
+class _Machine:
+    """The live state of a run: the fields of `MachineState`, plus the
+    procedure table and the acquisition policy."""
+
+    __slots__ = (
+        "procs", "policy", "heap", "frames", "consumed", "total", "next_addr", "acquire_count"
+    )
+
+    def __init__(self, procs, policy, heap, frames, consumed, total, next_addr, acquire_count):
+        self.procs, self.policy, self.heap, self.frames = procs, policy, heap, frames
+        self.consumed, self.total = consumed, total
+        self.next_addr, self.acquire_count = next_addr, acquire_count
+
+
+def _thaw(frame: Frame, code: tuple = ()) -> _Frame:
+    return _Frame(frame.proc, code, list(reversed(frame.stack)), dict(frame.locals), frame.pc)
+
+
+def _freeze(f: _Frame) -> Frame:
+    return Frame(f.proc, tuple(reversed(f.stack)), dict(f.locals), f.pc)
+
+
+def _snapshot(m: _Machine) -> MachineState:
+    frames = tuple(_freeze(f) for f in reversed(m.frames))
+    return MachineState(m.consumed, m.total, dict(m.heap), frames, m.next_addr, m.acquire_count)
+
+
+class _Trace:
+    """The frozen states of a traced run, one per step.
+
+    Each snapshot shares with the previous one what the step left alone:
+    the heap, unless the step was a `new`, `putfield` or `free`, and every
+    frame below the ones it touched (the active frame, plus the callee a
+    `call` pushes or the caller a `return` resumes).
+    """
+
+    _HEAP_WRITES = frozenset(("new", "putfield", "free"))
+
+    def __init__(self, m: _Machine):
+        first = _snapshot(m)
+        self.states = [first]
+        self.heap = first.heap
+        self.frames = list(reversed(first.frames))  # bottom first, as in the machine
+
+    def record(self, m: _Machine, ins: Instr) -> None:
+        """Snapshot `m` after it executed `ins`."""
+        if ins.op in self._HEAP_WRITES:
+            self.heap = dict(m.heap)
+        keep = min(len(self.frames), len(m.frames)) - 1  # frames below the touched ones
+        del self.frames[keep:]
+        self.frames.extend(_freeze(f) for f in m.frames[keep:])
+        frames = tuple(reversed(self.frames))
+        state = MachineState(m.consumed, m.total, self.heap, frames, m.next_addr, m.acquire_count)
+        self.states.append(state)
+
+
+def _proc_table(program: Program) -> dict:
+    # the first procedure of a name wins, as in `Program.proc`
+    return {p.name: p for p in reversed(program.procedures)}
+
+
+def _pop(stack: list) -> Value:
+    if not stack:
         raise _StuckSignal("stack underflow")
-    return stack[:n] + (stack[n:],)
+    return stack.pop()
+
+
+def _pop2(stack: list) -> tuple[Value, Value]:
+    """Pop the top two values, top first."""
+    if len(stack) < 2:
+        raise _StuckSignal("stack underflow")
+    return stack.pop(), stack.pop()
 
 
 _CMP = {
@@ -187,67 +275,252 @@ _ALU = {
 }
 
 
-def step_frame(frame: Frame, ins: Instr) -> Frame:
-    """One intra-frame step; raises _StuckSignal when no rule applies."""
-    stack, locals_, pc = frame.stack, frame.locals, frame.pc
-    op = ins.op
-    if op == "iconst":
-        return replace(frame, stack=(ins.value,) + stack, pc=pc + 1)
-    if op == "aconst_null":
-        return replace(frame, stack=(None,) + stack, pc=pc + 1)
-    if op == "pop":
-        v, rest = _pop(stack)
-        return replace(frame, stack=rest, pc=pc + 1)
-    if op == "load":
-        if ins.slot not in locals_:
-            raise _StuckSignal(f"load of uninitialised local {ins.slot}")
-        return replace(frame, stack=(locals_[ins.slot],) + stack, pc=pc + 1)
-    if op == "store":
-        v, rest = _pop(stack)
-        new_locals = dict(locals_)
-        new_locals[ins.slot] = v
-        return replace(frame, stack=rest, locals=new_locals, pc=pc + 1)
-    if op == "ibinop":
-        z1, z2, rest = _pop(stack, 2)
-        if not (isinstance(z1, int) and isinstance(z2, int)):
-            raise _StuckSignal(f"ibinop {ins.alu} on non-integer operands")
-        if ins.alu in ("div", "rem") and z2 == 0:
-            raise _StuckSignal("division by zero")
-        return replace(frame, stack=(_ALU[ins.alu](z1, z2),) + rest, pc=pc + 1)
-    if op == "binarycmp":
-        z1, z2, rest = _pop(stack, 2)
-        ints = isinstance(z1, int) and isinstance(z2, int)
-        refs = is_ref(z1) and is_ref(z2)
-        if ins.cmp in ("eq", "ne"):
-            if not (ints or refs):
-                raise _StuckSignal(f"binarycmp {ins.cmp} on mixed operand types")
-        elif not ints:
-            raise _StuckSignal(f"binarycmp {ins.cmp} requires integer operands")
-        taken = _CMP[ins.cmp](z1, z2)
-        return replace(frame, stack=rest, pc=ins.target if taken else pc + 1)
-    if op == "unarycmp":
-        z, rest = _pop(stack)
-        if not isinstance(z, int):
-            raise _StuckSignal(f"unarycmp {ins.cmp} requires an integer operand")
-        taken = _CMP[ins.cmp](z, 0)
-        return replace(frame, stack=rest, pc=ins.target if taken else pc + 1)
-    if op == "ifnull":
-        a, rest = _pop(stack)
-        if not is_ref(a):
-            raise _StuckSignal("ifnull on an integer operand")
-        return replace(frame, stack=rest, pc=ins.target if a is None else pc + 1)
-    if op == "goto":
-        return replace(frame, pc=ins.target)
-    raise _StuckSignal(f"{op} is not an intra-frame instruction")
+# Each rule takes (machine, active frame, instruction), updates them in place
+# and returns None, or a terminal outcome; it raises _StuckSignal, before
+# touching the budget, when no rule applies.  Intra-frame rules ignore the
+# machine, so `step_frame` passes None.
 
 
-# ---------------------------------------------------------------------------
-# heap / resource mutating steps
+def _iconst(m, f, ins):
+    f.stack.append(ins.value)
+    f.pc += 1
+
+
+def _aconst_null(m, f, ins):
+    f.stack.append(None)
+    f.pc += 1
+
+
+def _pop_rule(m, f, ins):
+    _pop(f.stack)
+    f.pc += 1
+
+
+def _load(m, f, ins):
+    try:
+        v = f.locals[ins.slot]
+    except KeyError:
+        raise _StuckSignal(f"load of uninitialised local {ins.slot}") from None
+    f.stack.append(v)
+    f.pc += 1
+
+
+def _store(m, f, ins):
+    f.locals[ins.slot] = _pop(f.stack)
+    f.pc += 1
+
+
+def _ibinop(m, f, ins):
+    z1, z2 = _pop2(f.stack)
+    if not (isinstance(z1, int) and isinstance(z2, int)):
+        raise _StuckSignal(f"ibinop {ins.alu} on non-integer operands")
+    if ins.alu in ("div", "rem") and z2 == 0:
+        raise _StuckSignal("division by zero")
+    f.stack.append(_ALU[ins.alu](z1, z2))
+    f.pc += 1
+
+
+def _binarycmp(m, f, ins):
+    z1, z2 = _pop2(f.stack)
+    ints = isinstance(z1, int) and isinstance(z2, int)
+    if ins.cmp in ("eq", "ne"):
+        if not (ints or (is_ref(z1) and is_ref(z2))):
+            raise _StuckSignal(f"binarycmp {ins.cmp} on mixed operand types")
+    elif not ints:
+        raise _StuckSignal(f"binarycmp {ins.cmp} requires integer operands")
+    f.pc = ins.target if _CMP[ins.cmp](z1, z2) else f.pc + 1
+
+
+def _unarycmp(m, f, ins):
+    z = _pop(f.stack)
+    if not isinstance(z, int):
+        raise _StuckSignal(f"unarycmp {ins.cmp} requires an integer operand")
+    f.pc = ins.target if _CMP[ins.cmp](z, 0) else f.pc + 1
+
+
+def _ifnull(m, f, ins):
+    a = _pop(f.stack)
+    if not is_ref(a):
+        raise _StuckSignal("ifnull on an integer operand")
+    f.pc = ins.target if a is None else f.pc + 1
+
+
+def _goto(m, f, ins):
+    f.pc = ins.target
 
 
 _DEFAULTS = {"int": 0, "ref": None}
 
-MUT_OPS = ("new", "getfield", "putfield", "free", "consume", "consume_dyn", "acquire")
+
+def _new(m, f, ins):
+    a = Addr(m.next_addr)
+    m.next_addr += 1
+    heap = m.heap
+    for fname, ftype in ins.desc.entries:
+        heap[(a, fname)] = _DEFAULTS[ftype]
+    f.stack.append(a)
+    f.pc += 1
+
+
+def _getfield(m, f, ins):
+    a = _pop(f.stack)
+    if not isinstance(a, Addr):
+        raise _StuckSignal(f"getfield {ins.field} on {value_str(a)}")
+    try:
+        v = m.heap[(a, ins.field)]
+    except KeyError:
+        raise _StuckSignal(f"getfield {ins.field}: cell absent at {a}") from None
+    f.stack.append(v)
+    f.pc += 1
+
+
+def _putfield(m, f, ins):
+    a, v = _pop2(f.stack)
+    if not isinstance(a, Addr):
+        raise _StuckSignal(f"putfield {ins.field} on {value_str(a)}")
+    cell = (a, ins.field)
+    if cell not in m.heap:
+        raise _StuckSignal(f"putfield {ins.field}: cell absent at {a}")
+    m.heap[cell] = v
+    f.pc += 1
+
+
+def _free(m, f, ins):
+    a = _pop(f.stack)
+    if not isinstance(a, Addr):
+        raise _StuckSignal(f"free on {value_str(a)}")
+    heap = m.heap
+    cells = [(a, fname) for fname, _ in ins.desc.entries]
+    missing = [fname for (_, fname) in cells if (a, fname) not in heap]
+    if missing:
+        raise _StuckSignal(f"free at {a}: field {missing[0]} absent")
+    for cell in cells:
+        del heap[cell]
+    f.pc += 1
+
+
+def _charge(m, f, amount):
+    """Consume `amount` at the active instruction; a violation if it overdraws."""
+    if amount:
+        m.consumed += amount
+        if m.consumed > m.total:
+            return BudgetViolation(f.proc, f.pc, m.consumed, m.total)
+    return None
+
+
+def _consume(m, f, ins):
+    over = _charge(m, f, ins.amount)
+    f.pc += 1
+    return over
+
+
+def _consume_dyn(m, f, ins):
+    z = _pop(f.stack)
+    if not isinstance(z, int):
+        raise _StuckSignal("consume_dyn requires an integer operand")
+    over = _charge(m, f, res_of_int(z))
+    f.pc += 1
+    return over
+
+
+def _acquire(m, f, ins):
+    z = _pop(f.stack)
+    if not isinstance(z, int):
+        raise _StuckSignal("acquire requires an integer operand")
+    request = res_of_int(z)
+    granted = m.policy.decide(m.acquire_count, request)
+    m.acquire_count += 1
+    if granted and request:
+        m.total += request
+    f.stack.append(1 if granted else 0)
+    f.pc += 1
+
+
+def _call(m, f, ins):
+    callee = m.procs[ins.callee]
+    stack, n = f.stack, callee.arity
+    if len(stack) < n:
+        raise _StuckSignal(f"call {ins.callee}: stack underflow")
+    # the top of the stack becomes local 0
+    locals_ = {i: stack[-1 - i] for i in range(n)}
+    del stack[len(stack) - n :]
+    f.pc += 1
+    m.frames.append(_Frame(ins.callee, callee.code, [], locals_, 0))
+
+
+def _return(m, f, ins):
+    if not f.stack:
+        raise _StuckSignal("return with an empty stack")
+    v = f.stack[-1]
+    frames = m.frames
+    frames.pop()
+    if not frames:
+        return Halt(m.heap, m.consumed, m.total, v)
+    frames[-1].stack.append(v)
+    return None
+
+
+_FRAME_RULES = {
+    "iconst": _iconst,
+    "aconst_null": _aconst_null,
+    "pop": _pop_rule,
+    "load": _load,
+    "store": _store,
+    "ibinop": _ibinop,
+    "binarycmp": _binarycmp,
+    "unarycmp": _unarycmp,
+    "ifnull": _ifnull,
+    "goto": _goto,
+}
+_MUT_RULES = {
+    "new": _new,
+    "getfield": _getfield,
+    "putfield": _putfield,
+    "free": _free,
+    "consume": _consume,
+    "consume_dyn": _consume_dyn,
+    "acquire": _acquire,
+}
+_RULES = {**_FRAME_RULES, **_MUT_RULES, "call": _call, "return": _return}
+
+
+def _no_rule(m, f, ins):
+    raise _StuckSignal(f"{ins.op} is not an intra-frame instruction")
+
+
+def _drive(m: _Machine, fuel: int, trace: Optional[_Trace] = None) -> tuple[object, int]:
+    """Apply rules until a terminal outcome or `fuel` steps.
+
+    Returns (outcome, steps), with outcome None when the fuel ran out.  A
+    `trace` records the state after each nonterminal step.
+    """
+    frames, rules = m.frames, _RULES
+    for steps in range(1, fuel + 1):
+        f = frames[-1]
+        pc, code = f.pc, f.code
+        if not 0 <= pc < len(code):
+            return Stuck(f"pc {pc} out of range", f.proc, pc), steps
+        ins = code[pc]
+        try:
+            outcome = rules.get(ins.op, _no_rule)(m, f, ins)
+        except _StuckSignal as s:
+            return Stuck(s.reason, f.proc, pc), steps
+        if outcome is not None:
+            return outcome, steps
+        if trace is not None:
+            trace.record(m, ins)
+    return None, fuel
+
+
+# ---------------------------------------------------------------------------
+# pure single steps: copy in, apply the rule, freeze the result
+
+
+def step_frame(frame: Frame, ins: Instr) -> Frame:
+    """One intra-frame step; raises _StuckSignal when no rule applies."""
+    f = _thaw(frame)
+    _FRAME_RULES.get(ins.op, _no_rule)(None, f, ins)
+    return _freeze(f)
 
 
 def step_mut(
@@ -263,128 +536,41 @@ def step_mut(
     `acquire` the caller supplies the policy's decision via `grant`; the
     request amount is reported back regardless.
     """
-    stack, pc = frame.stack, frame.pc
-    op = ins.op
-    if op == "new":
-        a = Addr(next_addr)
-        new_heap = dict(heap)
-        for fname, ftype in ins.desc.entries:
-            new_heap[(a, fname)] = _DEFAULTS[ftype]
-        return (
-            replace(frame, stack=(a,) + stack, pc=pc + 1),
-            new_heap,
-            ZERO,
-            ZERO,
-            None,
-            next_addr + 1,
-        )
-    if op == "getfield":
-        a, rest = _pop(stack)
-        if not isinstance(a, Addr):
-            raise _StuckSignal(f"getfield {ins.field} on {value_str(a)}")
-        if (a, ins.field) not in heap:
-            raise _StuckSignal(f"getfield {ins.field}: cell absent at {a}")
-        v = heap[(a, ins.field)]
-        return replace(frame, stack=(v,) + rest, pc=pc + 1), heap, ZERO, ZERO, None, next_addr
-    if op == "putfield":
-        a, v, rest = _pop(stack, 2)
-        if not isinstance(a, Addr):
-            raise _StuckSignal(f"putfield {ins.field} on {value_str(a)}")
-        if (a, ins.field) not in heap:
-            raise _StuckSignal(f"putfield {ins.field}: cell absent at {a}")
-        new_heap = dict(heap)
-        new_heap[(a, ins.field)] = v
-        return replace(frame, stack=rest, pc=pc + 1), new_heap, ZERO, ZERO, None, next_addr
-    if op == "free":
-        a, rest = _pop(stack)
-        if not isinstance(a, Addr):
-            raise _StuckSignal(f"free on {value_str(a)}")
-        cells = [(a, fname) for fname, _ in ins.desc.entries]
-        missing = [f for (_, f) in cells if (a, f) not in heap]
-        if missing:
-            raise _StuckSignal(f"free at {a}: field {missing[0]} absent")
-        new_heap = {c: v for c, v in heap.items() if c not in cells}
-        return replace(frame, stack=rest, pc=pc + 1), new_heap, ZERO, ZERO, None, next_addr
-    if op == "consume":
-        return replace(frame, pc=pc + 1), heap, Fraction(ins.amount), ZERO, None, next_addr
-    if op == "consume_dyn":
-        z, rest = _pop(stack)
-        if not isinstance(z, int):
-            raise _StuckSignal("consume_dyn requires an integer operand")
-        return replace(frame, stack=rest, pc=pc + 1), heap, res_of_int(z), ZERO, None, next_addr
-    if op == "acquire":
-        z, rest = _pop(stack)
-        if not isinstance(z, int):
-            raise _StuckSignal("acquire requires an integer operand")
-        request = res_of_int(z)
-        if grant:
-            new_frame = replace(frame, stack=(1,) + rest, pc=pc + 1)
-            return new_frame, heap, ZERO, request, request, next_addr
-        new_frame = replace(frame, stack=(0,) + rest, pc=pc + 1)
-        return new_frame, heap, ZERO, ZERO, request, next_addr
-    raise _StuckSignal(f"{op} is not a mutating instruction")
+    if ins.op not in _MUT_RULES:
+        raise _StuckSignal(f"{ins.op} is not a mutating instruction")
+    requests: list = []
 
+    def decide(_i, request):
+        requests.append(request)
+        return grant
 
-# ---------------------------------------------------------------------------
-# program steps
+    f = _thaw(frame)
+    m = _Machine(None, AcquisitionPolicy(decide), dict(heap), [f], ZERO, ZERO, next_addr, 0)
+    _MUT_RULES[ins.op](m, f, ins)  # a budget violation against total 0 is not this step's concern
+    request = requests[0] if requests else None
+    return _freeze(f), m.heap, m.consumed, m.total, request, m.next_addr
 
 
 def step(state: MachineState, program: Program, policy: AcquisitionPolicy = ALWAYS_DENY):
     """One small step: a new MachineState, or a terminal outcome."""
-    frame = state.frames[0]
-    proc = program.proc(frame.proc)
-    if not (0 <= frame.pc < len(proc.code)):
-        return Stuck(f"pc {frame.pc} out of range", frame.proc, frame.pc)
-    ins = proc.code[frame.pc]
-    try:
-        if ins.op == "return":
-            if not frame.stack:
-                return Stuck("return with an empty stack", frame.proc, frame.pc)
-            v = frame.stack[0]
-            if len(state.frames) == 1:
-                return Halt(state.heap, state.consumed, state.total_allowed, v)
-            caller = state.frames[1]
-            resumed = replace(caller, stack=(v,) + caller.stack)
-            return replace(state, frames=(resumed,) + state.frames[2:])
-        if ins.op == "call":
-            callee = program.proc(ins.callee)
-            if len(frame.stack) < callee.arity:
-                return Stuck(f"call {ins.callee}: stack underflow", frame.proc, frame.pc)
-            args = frame.stack[: callee.arity]
-            rest = frame.stack[callee.arity :]
-            fresh = Frame(
-                proc=ins.callee,
-                stack=(),
-                locals={i: v for i, v in enumerate(args)},
-                pc=0,
-            )
-            suspended = replace(frame, stack=rest, pc=frame.pc + 1)
-            return replace(state, frames=(fresh, suspended) + state.frames[1:])
-        if ins.op in MUT_OPS:
-            grant = None
-            if ins.op == "acquire":
-                z = frame.stack[0] if frame.stack else 0
-                request_preview = res_of_int(z) if isinstance(z, int) else ZERO
-                grant = policy.decide(state.acquire_count, request_preview)
-            new_frame, new_heap, consumed, acquired, request, next_addr = step_mut(
-                frame, state.heap, ins, state.next_addr, grant
-            )
-            new_consumed = state.consumed + consumed
-            new_total = state.total_allowed + acquired
-            if new_consumed > new_total:
-                return BudgetViolation(frame.proc, frame.pc, new_consumed, new_total)
-            return MachineState(
-                consumed=new_consumed,
-                total_allowed=new_total,
-                heap=new_heap,
-                frames=(new_frame,) + state.frames[1:],
-                next_addr=next_addr,
-                acquire_count=state.acquire_count + (1 if request is not None else 0),
-            )
-        new_frame = step_frame(frame, ins)
-        return replace(state, frames=(new_frame,) + state.frames[1:])
-    except _StuckSignal as s:
-        return Stuck(s.reason, frame.proc, frame.pc)
+    procs = _proc_table(program)
+    frames = [_thaw(f, procs[f.proc].code) for f in reversed(state.frames)]
+    m = _Machine(
+        procs,
+        policy,
+        dict(state.heap),
+        frames,
+        state.consumed,
+        state.total_allowed,
+        state.next_addr,
+        state.acquire_count,
+    )
+    outcome, _ = _drive(m, 1)
+    return _snapshot(m) if outcome is None else outcome
+
+
+# ---------------------------------------------------------------------------
+# whole runs
 
 
 @dataclass(frozen=True)
@@ -417,6 +603,26 @@ class RunResult:
         return out
 
 
+def _start(
+    program: Program,
+    args: Sequence[Value],
+    budget: ResourceValue,
+    policy: AcquisitionPolicy,
+    heap: Optional[Heap],
+    next_addr: int,
+) -> _Machine:
+    """The machine at the entry procedure, with its own copy of `heap`."""
+    procs = _proc_table(program)
+    entry = procs[program.entry]
+    if len(args) != entry.arity:
+        raise VmError(f"{program.entry} expects {entry.arity} arguments, got {len(args)}")
+    total = Fraction(budget)
+    if total < 0:
+        raise VmError(f"budget must be nonnegative, got {total}")
+    frame = _Frame(program.entry, entry.code, [], dict(enumerate(args)), 0)
+    return _Machine(procs, policy, dict(heap or {}), [frame], ZERO, total, next_addr, 0)
+
+
 def initial_state(
     program: Program,
     args: Sequence[Value],
@@ -424,22 +630,7 @@ def initial_state(
     heap: Optional[Heap] = None,
     next_addr: int = 0,
 ) -> MachineState:
-    entry = program.proc(program.entry)
-    if len(args) != entry.arity:
-        raise VmError(f"{program.entry} expects {entry.arity} arguments, got {len(args)}")
-    frame = Frame(
-        proc=program.entry,
-        stack=(),
-        locals={i: v for i, v in enumerate(args)},
-        pc=0,
-    )
-    return MachineState(
-        consumed=ZERO,
-        total_allowed=Fraction(budget),
-        heap=dict(heap or {}),
-        frames=(frame,),
-        next_addr=next_addr,
-    )
+    return _snapshot(_start(program, args, budget, ALWAYS_DENY, heap, next_addr))
 
 
 def run(
@@ -452,20 +643,15 @@ def run(
     next_addr: int = 0,
     trace: bool = False,
 ) -> RunResult:
-    """Drive `step` until a terminal outcome or `fuel` steps elapse."""
-    state = initial_state(program, args, budget, heap, next_addr)
-    states = [state] if trace else []
-    for steps in range(fuel):
-        nxt = step(state, program, policy)
-        if not isinstance(nxt, MachineState):
-            if isinstance(nxt, Halt):
-                consumed, total = nxt.consumed, nxt.total
-            elif isinstance(nxt, BudgetViolation):
-                consumed, total = nxt.consumed, nxt.total
-            else:
-                consumed, total = state.consumed, state.total_allowed
-            return RunResult(nxt, steps + 1, consumed, total, tuple(states))
-        state = nxt
-        if trace:
-            states.append(state)
-    return RunResult(FuelExhausted(fuel), fuel, state.consumed, state.total_allowed, tuple(states))
+    """Apply the rules to one machine until a terminal outcome or `fuel` steps
+    elapse.  The caller's `heap` is copied once and never mutated; with
+    `trace`, the result holds a snapshot of the state before every step."""
+    if fuel < 0:
+        raise VmError(f"fuel must be nonnegative, got {fuel}")
+    m = _start(program, args, budget, policy, heap, next_addr)
+    tracer = _Trace(m) if trace else None
+    outcome, steps = _drive(m, fuel, tracer)
+    if outcome is None:
+        outcome = FuelExhausted(fuel)
+    states = tuple(tracer.states) if tracer else ()
+    return RunResult(outcome, steps, m.consumed, m.total, states)

@@ -109,6 +109,24 @@ class TestRun:
         assert code == cli.EXIT_FUEL
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("frying_pan", "--pan", "2,-1"),
+            ("iterate_list", "--list-len", "-4"),
+            ("tree_traverse", "--tree-size", "-2"),
+            ("queue", "--queue-size", "-1"),
+            ("iterate_list", "--list-len", "3", "--fuel", "-5"),
+            ("iterate_list", "--list-len", "3", "--budget", "-1"),
+        ],
+    )
+    def test_negative_bounds_are_usage_errors(self, argv, capsys):
+        assert run_cli("run", *argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
 class TestCheck:
     def test_iterate_list_is_tight(self, capsys):
         assert run_cli("check", "iterate_list", "--max-size", "6") == cli.EXIT_OK
@@ -121,3 +139,15 @@ class TestCheck:
         out = capsys.readouterr().out
         for n in range(4):
             assert f"size {n:3d}:" in out
+
+    def test_negative_max_size_is_a_usage_error(self, capsys):
+        assert run_cli("check", "iterate_list", "--max-size", "-3") == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "no budget violations" not in captured.out
+        assert captured.err.startswith("error:")
+
+    def test_negative_fuel_is_a_usage_error(self, capsys):
+        assert run_cli("check", "iterate_list", "--fuel", "-5") == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "no budget violations" not in captured.out
+        assert captured.err.startswith("error:")

@@ -1,10 +1,12 @@
 """Interpreter semantics: rule-level unit tests and whole-run behaviour."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
-from amort.bytecode import FieldDescriptor, Instr, parse_program
+from amort.bytecode import FieldDescriptor, Instr, parse_program, parse_program_file
+from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
 from amort.vm import (
     ALWAYS_DENY,
     ALWAYS_GRANT,
@@ -24,6 +26,7 @@ from amort.vm import (
     step_frame,
     step_mut,
 )
+from oracles import reference_run
 
 PAIR = FieldDescriptor((("data", "int"), ("next", "ref")))
 
@@ -400,3 +403,167 @@ entry main
         first = res.states[1].frames[0].stack[0]
         final = res.states[6].frames[0].locals[0]
         assert first != final
+
+
+# ---------------------------------------------------------------------------
+# the in-place interpreter against the pure reference interpreter
+
+ANALYSABLE = (
+    "iterate_list",
+    "iterate_recursive",
+    "copy_list",
+    "reverse",
+    "queue",
+    "frying_pan",
+    "merge_inner",
+    "tree_traverse",
+    "tree_copy",
+    "tree_mirror",
+)
+# the rejected programs, with the outcomes they reach at budgets 0, 1 and 100
+REJECTED = {
+    "block_booking": {"Halt"},  # spends only what `acquire` was granted
+    "leak_list": {"Halt"},  # the leak is not a run-time fault
+    "no_budget": {"Halt", "BudgetViolation"},
+}
+SIZES = range(21)
+
+
+def test_corpus_is_covered():
+    assert sorted(ANALYSABLE + tuple(REJECTED)) == sorted(p.stem for p in CORPUS_DIR.glob("*.amr"))
+
+
+def sized_inputs(name, valuation=None):
+    """(program, [(args, heap, next_addr, inferred budget) for each size]).
+
+    Rejected programs have no inferred valuation: their inputs are built
+    with every annotation variable at 0."""
+    prog = parse_program_file(CORPUS_DIR / f"{name}.amr")
+    entry = prog.proc(prog.entry)
+    plan = classify_inputs(entry)
+    if valuation is None:
+        valuation = analyze_program(prog).valuation
+    return prog, [_sized_input(plan, entry, n, valuation) for n in SIZES]
+
+
+def policies(n):
+    return (ALWAYS_DENY, ALWAYS_GRANT, AcquisitionPolicy.seeded(n))
+
+
+def assert_same_states(got, want):
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g.consumed, g.total_allowed) == (w.consumed, w.total_allowed), i
+        assert (g.next_addr, g.acquire_count) == (w.next_addr, w.acquire_count), i
+        assert g.heap == w.heap, i
+        assert len(g.frames) == len(w.frames), i
+        for gf, wf in zip(g.frames, w.frames):
+            assert (gf.proc, gf.stack, gf.locals, gf.pc) == (wf.proc, wf.stack, wf.locals, wf.pc), i
+
+
+def agree(prog, inputs, budget, policy, fuel=100_000):
+    """Run untraced, traced and on the reference; return the outcome's kind."""
+    args, heap, next_addr, _ = inputs
+    kw = dict(policy=policy, fuel=fuel, heap=heap, next_addr=next_addr)
+    ref = reference_run(prog, args, budget, trace=True, **kw)
+    plain = run(prog, args, budget, **kw)
+    traced = run(prog, args, budget, trace=True, **kw)
+    want = (ref.outcome, ref.steps, ref.consumed, ref.total)
+    assert (plain.outcome, plain.steps, plain.consumed, plain.total) == want
+    assert (traced.outcome, traced.steps, traced.consumed, traced.total) == want
+    assert plain.states == ()
+    assert_same_states(traced.states, ref.states)
+    return ref.kind
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("name", ANALYSABLE)
+    def test_analysable_program(self, name):
+        prog, sized = sized_inputs(name)
+        kinds = {"inferred": set(), "half": set(), "fuel 37": set()}
+        for n, inputs in zip(SIZES, sized):
+            budget = inputs[3]
+            for policy in policies(n):
+                kinds["inferred"].add(agree(prog, inputs, budget, policy))
+                kinds["half"].add(agree(prog, inputs, budget / 2, policy))
+                kinds["fuel 37"].add(agree(prog, inputs, budget, policy, fuel=37))
+        assert kinds["inferred"] == {"Halt"}
+        assert "BudgetViolation" in kinds["half"]
+        assert "FuelExhausted" in kinds["fuel 37"]
+
+    @pytest.mark.parametrize("name, expected", REJECTED.items())
+    def test_rejected_program(self, name, expected):
+        prog, sized = sized_inputs(name, valuation=defaultdict(Fraction))
+        kinds = set()
+        for n, inputs in zip(SIZES, sized):
+            for budget in (Fraction(0), Fraction(1), Fraction(100)):
+                for policy in policies(n):
+                    kinds.add(agree(prog, inputs, budget, policy))
+        assert kinds == expected
+
+    @pytest.mark.parametrize("name", ANALYSABLE + tuple(REJECTED))
+    def test_single_steps_follow_the_reference(self, name):
+        valuation = defaultdict(Fraction) if name in REJECTED else None
+        prog, sized = sized_inputs(name, valuation)
+        args, heap, next_addr, _ = sized[3]
+        budget = Fraction(100)
+        ref = reference_run(
+            prog, args, budget, policy=ALWAYS_GRANT, heap=heap, next_addr=next_addr, trace=True
+        )
+        states = [initial_state(prog, args, budget, heap, next_addr)]
+        while isinstance(states[-1], MachineState):
+            states.append(step(states[-1], prog, ALWAYS_GRANT))
+        assert states[-1] == ref.outcome
+        assert len(states) - 1 == ref.steps
+        assert_same_states(states[:-1], ref.states)
+
+    def test_stuck_runs_agree(self):
+        src = """
+proc main(l:ref) {
+  0: load l
+  1: getfield next
+  2: getfield next
+  3: getfield next
+  4: return
+}
+entry main
+"""
+        prog = parse(src)
+        _, sized = sized_inputs("iterate_list")
+        kinds = {agree(prog, inputs, Fraction(0), ALWAYS_DENY) for inputs in sized[:5]}
+        assert kinds == {"Stuck", "Halt"}
+
+
+class TestInputsUntouched:
+    """`run` copies the caller's heap once and mutates only its copy."""
+
+    @pytest.mark.parametrize("name", ["copy_list", "tree_mirror", "queue"])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_heap_argument_survives_the_run(self, name, trace):
+        prog, sized = sized_inputs(name)
+        args, heap, next_addr, budget = sized[8]
+        before = dict(heap)
+        res = run(prog, args, budget, heap=heap, next_addr=next_addr, trace=trace)
+        assert isinstance(res.outcome, Halt)
+        assert res.outcome.heap != before  # the program did write, allocate or free
+        assert heap == before
+        assert res.outcome.heap is not heap
+
+
+class TestBounds:
+    SRC = "proc main() {\n 0: consume 1\n 1: iconst 0\n 2: return\n}\nentry main"
+
+    def test_negative_fuel_raises(self):
+        with pytest.raises(VmError, match="fuel"):
+            run(parse(self.SRC), [], budget=Fraction(5), fuel=-5)
+
+    def test_zero_fuel_is_exhausted_at_once(self):
+        res = run(parse(self.SRC), [], budget=Fraction(5), fuel=0)
+        assert isinstance(res.outcome, FuelExhausted)
+        assert res.steps == 0
+
+    def test_negative_budget_raises(self):
+        with pytest.raises(VmError, match="budget"):
+            run(parse(self.SRC), [], budget=Fraction(-1))
+        with pytest.raises(VmError, match="budget"):
+            initial_state(parse(self.SRC), [], Fraction(-1, 2))
