@@ -356,73 +356,95 @@ class PureContext:
     holds iff forced by the equalities, and t1 != t2 holds iff asserted on
     representatives or the classes contain distinct literals (two unequal
     integers, or an integer vs null).
+
+    Incremental: a class's representative is a literal whenever the class
+    holds one, and each asserted disequality is indexed under the
+    representatives of both sides, re-keyed when a class merges.  ``add``
+    sets the contradiction flag as soon as two distinct literals or the two
+    sides of a disequality fall into one class, so ``contradictory`` is a
+    flag read and ``unequal`` two finds and a set lookup.  ``add`` grows the
+    closure in place: extend a ``copy`` of a closure that others may hold.
     """
 
+    __slots__ = ("_parent", "_diseq", "_contradiction")
+
     def __init__(self, atoms: Iterable[PureAtom] = ()):
-        self._parent: dict = {}
-        self._diseq: list[tuple] = []
+        self._parent: dict = {}  # term -> parent term; representatives are absent
+        self._diseq: dict = {}  # representative -> representatives unequal to it
         self._contradiction = False
         for a in atoms:
             self.add(a)
 
-    def _find(self, t):
-        self._parent.setdefault(t, t)
+    def copy(self) -> "PureContext":
+        out = PureContext()
+        out._parent = dict(self._parent)
+        out._diseq = {r: set(others) for r, others in self._diseq.items()}
+        out._contradiction = self._contradiction
+        return out
+
+    def find(self, t):
+        """The representative of ``t``'s class."""
+        parent = self._parent
         root = t
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[t] != root:
-            self._parent[t], t = root, self._parent[t]
+        while root in parent:
+            root = parent[root]
+        while t is not root:
+            parent[t], t = root, parent[t]
         return root
 
     def _union(self, a, b):
-        ra, rb = self._find(a), self._find(b)
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
         # keep literals as representatives so class literals are easy to read
         if is_literal(ra):
             ra, rb = rb, ra
-        if is_literal(ra) and is_literal(rb) and ra != rb:
+        if is_literal(ra):
             self._contradiction = True
         self._parent[ra] = rb
+        moved = self._diseq.pop(ra, None)
+        if moved:
+            into = self._diseq.setdefault(rb, set())
+            for r in moved:
+                others = self._diseq[r]
+                others.discard(ra)
+                if r == rb:
+                    self._contradiction = True
+                else:
+                    others.add(rb)
+                    into.add(r)
 
     def add(self, atom: PureAtom) -> None:
         if atom.op == "=":
             self._union(atom.lhs, atom.rhs)
-        else:
-            self._diseq.append((atom.lhs, atom.rhs))
+            return
+        ra, rb = self.find(atom.lhs), self.find(atom.rhs)
+        if ra == rb:
+            self._contradiction = True
+            return
+        self._diseq.setdefault(ra, set()).add(rb)
+        self._diseq.setdefault(rb, set()).add(ra)
 
     def contradictory(self) -> bool:
-        if self._contradiction:
-            return True
-        for a, b in self._diseq:
-            if self._find(a) == self._find(b):
-                return True
-        return False
+        return self._contradiction
 
     def equal(self, t1, t2) -> bool:
-        return self._find(t1) == self._find(t2)
+        return self.find(t1) == self.find(t2)
 
     def unequal(self, t1, t2) -> bool:
-        r1, r2 = self._find(t1), self._find(t2)
+        r1, r2 = self.find(t1), self.find(t2)
         if r1 == r2:
             return False
         if is_literal(r1) and is_literal(r2):
             return True
-        for a, b in self._diseq:
-            ra, rb = self._find(a), self._find(b)
-            if {ra, rb} == {r1, r2}:
-                return True
-        return False
+        return r2 in self._diseq.get(r1, ())
 
     def entails(self, atom: PureAtom) -> bool:
-        if self.contradictory():
+        if self._contradiction:
             return True
         if atom.op == "=":
             return self.equal(atom.lhs, atom.rhs)
         return self.unequal(atom.lhs, atom.rhs)
-
-    def terms(self) -> list:
-        return list(self._parent)
 
 
 def pure_entails(atoms: Sequence[PureAtom], query: PureAtom) -> bool:

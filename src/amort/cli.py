@@ -152,6 +152,7 @@ class AnalysisReport:
     timings: dict[str, float]
     warnings: tuple[str, ...]
     lp_pivots: int
+    prover_ticks: int
 
     def to_json(self) -> dict:
         return {
@@ -182,7 +183,7 @@ class AnalysisReport:
             ],
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "warnings": list(self.warnings),
-            "stats": {"lp_pivots": self.lp_pivots},
+            "stats": {"lp_pivots": self.lp_pivots, "prover_ticks": self.prover_ticks},
         }
 
 
@@ -199,9 +200,11 @@ def analyze_program(prog: Program) -> AnalysisReport:
     prover = Prover()
     outcomes: list[VcOutcome] = []
     proved = []
+    ticks = 0
     t1 = time.perf_counter()
     for vc in vcs:
         res = prover.prove_vc(vc)
+        ticks += res.ticks
         if not res.ok:
             f = res.failure
             raise AnalysisError(
@@ -273,6 +276,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
         timings={"vcgen": t_vcgen, "prove": t_prove, "lp": t_lp},
         warnings=tuple(warnings),
         lp_pivots=sol.pivots,
+        prover_ticks=ticks,
     )
 
 

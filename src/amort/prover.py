@@ -206,8 +206,12 @@ class ProofContext:
     """Pure facts, symbolic heap and resource pool threaded by the search.
 
     Instances are treated as immutable; ``updated`` derives a new context
-    sharing the fresh-name counter.  The pure part is kept as the original
-    atom tuple, with a congruence closure built lazily on first query.
+    sharing the fresh-name counter.  The pure part is kept as the atom tuple
+    together with its congruence closure ``pc``.  A context made directly
+    builds its closure on first query.  A derived context shares its
+    parent's closure when the atoms are unchanged, and extends a copy of it
+    by the appended atoms when they grow; a closure is never grown once
+    another context may hold it.
     """
 
     __slots__ = ("pure", "heap", "resource", "names", "_pc")
@@ -218,12 +222,13 @@ class ProofContext:
         heap: Sequence = (),
         resource: ResourceExpr = ZERO_EXPR,
         names: Optional[FreshNames] = None,
+        pc: Optional[PureContext] = None,
     ):
         self.pure = tuple(pure)
         self.heap = tuple(heap)
         self.resource = resource
         self.names = names if names is not None else FreshNames()
-        self._pc: Optional[PureContext] = None
+        self._pc = pc  # the closure of exactly ``pure``, or None until queried
 
     @property
     def pc(self) -> PureContext:
@@ -231,12 +236,23 @@ class ProofContext:
             self._pc = PureContext(self.pure)
         return self._pc
 
-    def updated(self, pure=None, heap=None, resource=None) -> "ProofContext":
+    def updated(self, pure=None, heap=None, resource=None, pc=None) -> "ProofContext":
+        """Derive a context; ``pc``, when given, is the closure of ``pure``."""
+        if pure is None:
+            pure, pc = self.pure, self._pc
+        elif pc is None and self._pc is not None:
+            pure = tuple(pure)
+            n = len(self.pure)
+            if pure[:n] == self.pure:
+                pc = self._pc.copy() if len(pure) > n else self._pc
+                for a in pure[n:]:
+                    pc.add(a)
         return ProofContext(
-            self.pure if pure is None else pure,
+            pure,
             self.heap if heap is None else heap,
             self.resource if resource is None else resource,
             self.names,
+            pc,
         )
 
     def without_atom(self, index: int) -> tuple:
@@ -268,6 +284,7 @@ class ProofResult:
     ok: bool
     constraints: ConstraintSet = ()
     failure: Optional[ProofFailure] = None
+    ticks: int = 0  # units of the work budget used, a machine-independent cost
 
 
 class _SearchBound(Exception):
@@ -324,28 +341,32 @@ class Prover:
         try:
             cons = self._go_saturated(ctx, goal, 0)
         except _SearchBound as e:
-            return ProofResult(False, (), ProofFailure(f"search bound exceeded ({e})", 0))
+            fail = ProofFailure(f"search bound exceeded ({e})", 0)
+            return ProofResult(False, (), fail, self.max_work - self._work)
         if cons is None:
             depth, msg = self._best_fail or (0, "no applicable rule")
-            return ProofResult(False, (), ProofFailure(msg, depth))
-        return ProofResult(True, cons, None)
+            return ProofResult(False, (), ProofFailure(msg, depth), self.max_work - self._work)
+        return ProofResult(True, cons, None, self.max_work - self._work)
 
     def prove_vc(self, vc) -> ProofResult:
         """Prove antecedent |- consequent; every antecedent disjunct must
         entail the goal, and the constraint sets are unioned."""
         all_cons: ConstraintSet = ()
+        ticks = 0
         for clause in vc.antecedent:
             ctx = self._context_of_clause(clause)
             res = self.prove(ctx, vc.consequent)
+            ticks += res.ticks
             if not res.ok:
                 fail = res.failure
                 return ProofResult(
                     False,
                     (),
                     ProofFailure(fail.message, fail.depth, getattr(vc, "vc_id", None)),
+                    ticks,
                 )
             all_cons = merge_constraints(all_cons, res.constraints)
-        return ProofResult(True, all_cons, None)
+        return ProofResult(True, all_cons, None, ticks)
 
     def _context_of_clause(self, clause: Clause) -> ProofContext:
         # Antecedent existentials denote some fixed unknown values: introduce
@@ -421,7 +442,7 @@ class Prover:
         for t in pool:
             if isinstance(t, EVar):
                 continue
-            r = pc._find(t)
+            r = pc.find(t)
             if r not in reps:
                 reps.add(r)
                 seen.append(t)
@@ -437,40 +458,38 @@ class Prover:
         constraints).  An empty result therefore means vacuous success.
         """
         out: list[ProofContext] = []
-        queue = [ctx]
-        while queue:
+        stack = [ctx]
+        while stack:
             self._tick(0)
-            c = queue.pop(0)
-            c = self._pure_closure(c)
+            c = self._pure_closure(stack.pop())
             if c.pc.contradictory():
                 continue
             step = self._unfold_step(c)
             if step is None:
                 out.append(c)
             else:
-                queue[:0] = step
+                stack.extend(reversed(step))  # the first branch is popped next
         return out
 
     def _pure_closure(self, ctx: ProofContext) -> ProofContext:
         pc = ctx.pc
         added = []
         cells = [a for a in ctx.heap if isinstance(a, PointsTo)]
-        for cell in cells:
-            atom = PureAtom(cell.obj, "!=", NULL)
+        facts = [PureAtom(cell.obj, "!=", NULL) for cell in cells]
+        facts += [
+            PureAtom(a.obj, "!=", b.obj)
+            for a, b in itertools.combinations(cells, 2)
+            if a.field == b.field
+        ]
+        for atom in facts:
             if not pc.entails(atom):
-                added.append(atom)
-                pc.add(atom)
-        for a, b in itertools.combinations(cells, 2):
-            if a.field != b.field:
-                continue
-            atom = PureAtom(a.obj, "!=", b.obj)
-            if not pc.entails(atom):
+                if not added:
+                    pc = pc.copy()  # ctx's closure may be shared: grow a copy
                 added.append(atom)
                 pc.add(atom)
         if not added:
             return ctx
-        # pc was grown in place; rebuild the context so pure/pc agree
-        return ctx.updated(pure=ctx.pure + tuple(added))
+        return ctx.updated(pure=ctx.pure + tuple(added), pc=pc)
 
     def _unfold_step(self, ctx: ProofContext) -> Optional[list[ProofContext]]:
         """Apply the first decided unfolding, if any.  Returns the branches

@@ -10,6 +10,8 @@ small concrete heap by enumeration, independently of the prover.
 `reference_run` is the pure small-step interpreter: every step returns a
 fresh state, copying the heap on `new`/`putfield`/`free` and the frame tuple
 on every step, so it is quadratic but obviously free of aliasing.
+`ReferencePureContext` is the rescanning pure decision procedure: it keeps
+the disequalities as a list and walks all of them on every query.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from amort.assertions import (
     ListSeg,
     NullTerm,
     PointsTo,
+    PureAtom,
     Star,
     Term,
     TreeSeg,
     Var,
     Wand,
+    is_literal,
 )
 from amort.bytecode import Instr, Program
 from amort.lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, problem_from_constraints, solve
@@ -165,6 +169,83 @@ def pinned_lexicographic(
     s2 = solve(LpProblem(p2.variables, rows, p2.objective))
     assert s2.optimal  # s1's solution is feasible for p2
     return LpSolution(OPTIMAL, s2.valuation, s1.objective)
+
+
+# ---------------------------------------------------------------------------
+# pure reasoning (test oracle)
+
+
+class ReferencePureContext:
+    """Congruence over equality atoms; decides = and != queries.
+
+    Complete for this fragment: no function symbols, so a query t1 = t2
+    holds iff forced by the equalities, and t1 != t2 holds iff asserted on
+    representatives or the classes contain distinct literals (two unequal
+    integers, or an integer vs null).
+    """
+
+    def __init__(self, atoms: Iterable[PureAtom] = ()):
+        self._parent: dict = {}
+        self._diseq: list[tuple] = []
+        self._contradiction = False
+        for a in atoms:
+            self.add(a)
+
+    def _find(self, t):
+        self._parent.setdefault(t, t)
+        root = t
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[t] != root:
+            self._parent[t], t = root, self._parent[t]
+        return root
+
+    def _union(self, a, b):
+        ra, rb = self._find(a), self._find(b)
+        if ra == rb:
+            return
+        # keep literals as representatives so class literals are easy to read
+        if is_literal(ra):
+            ra, rb = rb, ra
+        if is_literal(ra) and is_literal(rb) and ra != rb:
+            self._contradiction = True
+        self._parent[ra] = rb
+
+    def add(self, atom: PureAtom) -> None:
+        if atom.op == "=":
+            self._union(atom.lhs, atom.rhs)
+        else:
+            self._diseq.append((atom.lhs, atom.rhs))
+
+    def contradictory(self) -> bool:
+        if self._contradiction:
+            return True
+        for a, b in self._diseq:
+            if self._find(a) == self._find(b):
+                return True
+        return False
+
+    def equal(self, t1, t2) -> bool:
+        return self._find(t1) == self._find(t2)
+
+    def unequal(self, t1, t2) -> bool:
+        r1, r2 = self._find(t1), self._find(t2)
+        if r1 == r2:
+            return False
+        if is_literal(r1) and is_literal(r2):
+            return True
+        for a, b in self._diseq:
+            ra, rb = self._find(a), self._find(b)
+            if {ra, rb} == {r1, r2}:
+                return True
+        return False
+
+    def entails(self, atom: PureAtom) -> bool:
+        if self.contradictory():
+            return True
+        if atom.op == "=":
+            return self.equal(atom.lhs, atom.rhs)
+        return self.unequal(atom.lhs, atom.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,7 @@ def test_criterion_10_prover_termination_guard():
     proved_in = time.perf_counter() - t0
     assert proved_in < 10.0, f"took {proved_in:.1f}s"
     assert res.ok
+    assert res.ticks == 3839  # the work the search does, on any machine
 
     # near miss: the final endpoint is never known to be null, so every
     # combination is explored and rejected; the search must still come back
@@ -523,4 +524,5 @@ def test_criterion_10_prover_termination_guard():
     failed_in = time.perf_counter() - t0
     assert failed_in < 10.0, f"took {failed_in:.1f}s"
     assert not res.ok and res.failure is not None
+    assert res.ticks == 513
     passed(10, f"deep chains: proved in {proved_in:.2f}s, near-miss rejected in {failed_in:.2f}s")

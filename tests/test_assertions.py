@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amort.assertions import (
@@ -14,6 +14,7 @@ from amort.assertions import (
     ListSeg,
     PointsTo,
     PureAtom,
+    PureContext,
     TreeSeg,
     Var,
     assertion_str,
@@ -26,7 +27,7 @@ from amort.assertions import (
     Leaf,
 )
 from amort.resources import ResourceExpr
-from oracles import model_check
+from oracles import ReferencePureContext, model_check
 
 
 class FakeAddr:
@@ -184,6 +185,52 @@ class TestPure:
         assert pure_entails(atoms, PureAtom(Var(a), "=", Var(a)))
         if pure_entails(atoms, PureAtom(Var(a), "=", Var(b))):
             assert pure_entails(atoms, PureAtom(Var(b), "=", Var(a)))
+
+
+TERM_POOL = (Var("x"), Var("y"), Var("z"), Var("w"), Var("v"), IntLit(0), IntLit(1), NULL)
+pool_atoms = st.builds(
+    PureAtom, st.sampled_from(TERM_POOL), st.sampled_from(("=", "!=")), st.sampled_from(TERM_POOL)
+)
+
+
+def assert_same_answers(pc, ref):
+    assert pc.contradictory() == ref.contradictory()
+    for t1 in TERM_POOL:
+        for t2 in TERM_POOL:
+            assert pc.equal(t1, t2) == ref.equal(t1, t2), (t1, t2)
+            assert pc.unequal(t1, t2) == ref.unequal(t1, t2), (t1, t2)
+            for op in ("=", "!="):
+                atom = PureAtom(t1, op, t2)
+                assert pc.entails(atom) == ref.entails(atom), atom
+
+
+class TestIncrementalPure:
+    """The indexed, incremental closure against the rescanning reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(pool_atoms, max_size=16), st.lists(pool_atoms, min_size=16, max_size=16))
+    def test_agrees_with_reference_after_every_prefix(self, atoms, branch_atoms):
+        pc = PureContext()
+        for i, atom in enumerate(atoms):
+            pc.add(atom)
+            prefix = atoms[: i + 1]
+            # a copy grown by one more atom answers for the longer prefix and
+            # leaves the original answering for its own
+            branch = pc.copy()
+            branch.add(branch_atoms[i])
+            assert_same_answers(branch, ReferencePureContext(prefix + [branch_atoms[i]]))
+            assert_same_answers(pc, ReferencePureContext(prefix))
+
+    def test_merging_classes_carries_their_disequalities(self):
+        x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+        pc = PureContext([PureAtom(x, "!=", y), PureAtom(z, "!=", w)])
+        pc.add(PureAtom(y, "=", z))
+        assert pc.unequal(x, z) and pc.unequal(y, w) and not pc.unequal(x, w)
+        assert not pc.contradictory()
+        pc.add(PureAtom(x, "=", w))
+        assert pc.unequal(z, w) and pc.unequal(x, y)
+        pc.add(PureAtom(w, "=", y))
+        assert pc.contradictory()
 
 
 class TestModelCheck:

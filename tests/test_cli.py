@@ -37,6 +37,27 @@ class TestAnalyze:
         assert counts[0] == counts[1]
         assert 0 < counts[0] < 88
 
+    # prover ticks (units of the work budget) per analysable corpus program;
+    # the count is machine-independent and pins the order of the search
+    PROVER_TICKS = {
+        "copy_list": 46,
+        "frying_pan": 160,
+        "iterate_list": 28,
+        "iterate_recursive": 26,
+        "merge_inner": 461,
+        "queue": 187,
+        "reverse": 32,
+        "tree_copy": 50,
+        "tree_mirror": 43,
+        "tree_traverse": 35,
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROVER_TICKS))
+    def test_json_reports_prover_ticks(self, name, capsys):
+        assert run_cli("analyze", name, "--json", "-") == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert json.loads(out[out.index("\n{") :])["stats"]["prover_ticks"] == self.PROVER_TICKS[name]
+
     def test_emit_constraints_shows_rows(self, capsys):
         assert run_cli("analyze", "iterate_list", "--emit-constraints") == cli.EXIT_OK
         assert "$x" in capsys.readouterr().out

@@ -146,6 +146,53 @@ class TestSaturate:
         assert len(segs) == 1 and segs[0].end == y
 
 
+class TestSharedClosures:
+    """Derived contexts share or extend their parent's pure closure; a fact
+    added in one context must never show in its parent or a sibling."""
+
+    TERMS = (x, y, z, d, NULL)
+
+    def answers(self, ctx):
+        pc = ctx.pc
+        pairs = [(pc.equal(a, b), pc.unequal(a, b)) for a in self.TERMS for b in self.TERMS]
+        return pc.contradictory(), pairs
+
+    def assert_answers_own_atoms(self, *ctxs):
+        for ctx in ctxs:
+            assert self.answers(ctx) == self.answers(ProofContext(ctx.pure)), str(ctx)
+
+    def test_updated_pure_leaves_parent_and_siblings_alone(self):
+        parent = ProofContext((PureAtom(x, "!=", NULL),), (ListSeg(R(1), y, z),))
+        parent.pc  # built, so the children below share or copy it
+        same = parent.updated(heap=())
+        left = parent.updated(pure=parent.pure + (PureAtom(x, "=", y),))
+        right = parent.updated(pure=parent.pure + (PureAtom(y, "=", NULL),))
+        assert same.pc is parent.pc
+        assert left.pc.unequal(y, NULL) and right.pc.equal(y, NULL)
+        self.assert_answers_own_atoms(parent, same, left, right)
+
+    def test_pure_closure_grows_a_copy(self):
+        parent = ProofContext((PureAtom(x, "!=", y),), (PointsTo(x, "next", y), PointsTo(z, "next", d)))
+        parent.pc
+        sibling = parent.updated(resource=R(1))
+        grown = Prover()._pure_closure(parent)
+        assert grown.pc.unequal(x, NULL) and grown.pc.unequal(x, z)
+        assert not parent.pc.unequal(x, NULL) and not sibling.pc.unequal(x, z)
+        self.assert_answers_own_atoms(parent, sibling, grown)
+
+    def test_saturation_branches_keep_their_own_facts(self):
+        # the cons branch shares the root's closure until its new cells add
+        # x != z; the empty branch adds x = y to a copy
+        ctx = ProofContext(
+            (PureAtom(x, "!=", NULL), PureAtom(z, "!=", NULL)),
+            (ListSeg(R(1), x, y), PointsTo(z, "next", d)),
+        )
+        ctx.pc
+        empty, cons = saturate(ctx)
+        assert empty.pc.equal(x, y) and cons.pc.unequal(x, z)
+        self.assert_answers_own_atoms(ctx, empty, cons)
+
+
 # ---------------------------------------------------------------------------
 # matching
 
