@@ -447,14 +447,6 @@ class PureContext:
         return self.unequal(atom.lhs, atom.rhs)
 
 
-def pure_entails(atoms: Sequence[PureAtom], query: PureAtom) -> bool:
-    return PureContext(atoms).entails(query)
-
-
-def pure_contradiction(atoms: Sequence[PureAtom]) -> bool:
-    return PureContext(atoms).contradictory()
-
-
 # ---------------------------------------------------------------------------
 # parser
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -719,8 +720,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    return ns.func(ns)
+    try:
+        ns = build_parser().parse_args(argv)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`).  Point the descriptor at the
+        # null device so that the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -840,28 +840,3 @@ class Prover:
             if t2 is None:
                 continue
             yield from self._solve_pures(ctx, atoms, t2, depth)
-
-
-# ---------------------------------------------------------------------------
-# module-level conveniences (one throwaway search instance each)
-
-
-def saturate(ctx: ProofContext) -> list[ProofContext]:
-    return Prover().saturate(ctx)
-
-
-def match_heap(ctx: ProofContext, goal_sigma: Sequence) -> Iterator[tuple[ProofContext, ConstraintSet, Subst]]:
-    """Enumerate ways of covering ``goal_sigma`` with the context's heap,
-    yielding the remaining context, collected constraints, and the bindings
-    chosen for any unification variables in the goal atoms."""
-    p = Prover()
-    for ctx2, theta, cons in p._match_atoms(ctx, tuple(goal_sigma), {}, (), 0):
-        yield ctx2, cons, theta
-
-
-def prove(ctx: ProofContext, goal: Goal, max_depth: int = 64, max_work: int = 200_000) -> ProofResult:
-    return Prover(max_depth, max_work).prove(ctx, goal)
-
-
-def prove_vc(vc, max_depth: int = 64, max_work: int = 200_000) -> ProofResult:
-    return Prover(max_depth, max_work).prove_vc(vc)

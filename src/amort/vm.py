@@ -9,18 +9,11 @@ externally supplied policy.
 Values are Python ints, `Addr` objects, or None for null.  Heaps map
 (address, field name) pairs to values.
 
-Each rule is written once, as an in-place update of one mutable machine:
-a heap dict, and a list of frames, each with a list stack (top at the end),
-a locals dict and a pc.  `run` copies the caller's heap once and then
-applies the rules to that machine, so a step costs the same at any heap
-size or call depth.  With `trace=True` it also records a frozen
-`MachineState` after every step, with each stack as a head-first tuple;
-a snapshot copies the heap only after a step that wrote it and freezes
-only the frames the step touched, sharing the rest with the previous
-snapshot.  The single-step functions `step_frame`, `step_mut` and
-`step` are pure wrappers around the same rules: they copy their input into
-a machine, apply one rule and freeze the result, so they never mutate
-their arguments.
+There is one machine, one rule per instruction and one driver.  Each rule
+is an in-place update of the machine: a heap dict, and a list of frames,
+each with a list stack (top at the end), a locals dict and a pc.  `run`
+copies the caller's heap once into a fresh machine, and `_drive` applies
+the rules to it, so a step costs the same at any heap size or call depth.
 """
 
 from __future__ import annotations
@@ -28,9 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .bytecode import Instr, Program
+from .bytecode import Program
 from .resources import ZERO, ResourceValue, res_of_int
 
 
@@ -52,24 +45,6 @@ def is_ref(v: Value) -> bool:
 
 def value_str(v: Value) -> str:
     return "null" if v is None else str(v)
-
-
-@dataclass(frozen=True)
-class Frame:
-    proc: str
-    stack: tuple  # head = top of stack
-    locals: Mapping[int, Value]
-    pc: int
-
-
-@dataclass(frozen=True)
-class MachineState:
-    consumed: ResourceValue
-    total_allowed: ResourceValue
-    heap: Heap
-    frames: tuple  # tuple[Frame, ...], head = active frame
-    next_addr: int = 0
-    acquire_count: int = 0
 
 
 @dataclass(frozen=True)
@@ -101,7 +76,8 @@ class FuelExhausted:
 
 
 class VmError(Exception):
-    """Raised by drivers for malformed invocations (not by `step`)."""
+    """A malformed invocation: a wrong argument count, a negative budget or
+    fuel, or a bad acquisition policy script."""
 
 
 class _StuckSignal(Exception):
@@ -174,8 +150,9 @@ class _Frame:
 
 
 class _Machine:
-    """The live state of a run: the fields of `MachineState`, plus the
-    procedure table and the acquisition policy."""
+    """The live state of a run: heap, frames (active last), consumed and total
+    allowed, the next fresh address and the number of `acquire` requests so
+    far, plus the procedure table and the acquisition policy."""
 
     __slots__ = (
         "procs", "policy", "heap", "frames", "consumed", "total", "next_addr", "acquire_count"
@@ -185,48 +162,6 @@ class _Machine:
         self.procs, self.policy, self.heap, self.frames = procs, policy, heap, frames
         self.consumed, self.total = consumed, total
         self.next_addr, self.acquire_count = next_addr, acquire_count
-
-
-def _thaw(frame: Frame, code: tuple = ()) -> _Frame:
-    return _Frame(frame.proc, code, list(reversed(frame.stack)), dict(frame.locals), frame.pc)
-
-
-def _freeze(f: _Frame) -> Frame:
-    return Frame(f.proc, tuple(reversed(f.stack)), dict(f.locals), f.pc)
-
-
-def _snapshot(m: _Machine) -> MachineState:
-    frames = tuple(_freeze(f) for f in reversed(m.frames))
-    return MachineState(m.consumed, m.total, dict(m.heap), frames, m.next_addr, m.acquire_count)
-
-
-class _Trace:
-    """The frozen states of a traced run, one per step.
-
-    Each snapshot shares with the previous one what the step left alone:
-    the heap, unless the step was a `new`, `putfield` or `free`, and every
-    frame below the ones it touched (the active frame, plus the callee a
-    `call` pushes or the caller a `return` resumes).
-    """
-
-    _HEAP_WRITES = frozenset(("new", "putfield", "free"))
-
-    def __init__(self, m: _Machine):
-        first = _snapshot(m)
-        self.states = [first]
-        self.heap = first.heap
-        self.frames = list(reversed(first.frames))  # bottom first, as in the machine
-
-    def record(self, m: _Machine, ins: Instr) -> None:
-        """Snapshot `m` after it executed `ins`."""
-        if ins.op in self._HEAP_WRITES:
-            self.heap = dict(m.heap)
-        keep = min(len(self.frames), len(m.frames)) - 1  # frames below the touched ones
-        del self.frames[keep:]
-        self.frames.extend(_freeze(f) for f in m.frames[keep:])
-        frames = tuple(reversed(self.frames))
-        state = MachineState(m.consumed, m.total, self.heap, frames, m.next_addr, m.acquire_count)
-        self.states.append(state)
 
 
 def _proc_table(program: Program) -> dict:
@@ -277,8 +212,7 @@ _ALU = {
 
 # Each rule takes (machine, active frame, instruction), updates them in place
 # and returns None, or a terminal outcome; it raises _StuckSignal, before
-# touching the budget, when no rule applies.  Intra-frame rules ignore the
-# machine, so `step_frame` passes None.
+# touching the budget, when no rule applies.
 
 
 def _iconst(m, f, ins):
@@ -460,7 +394,7 @@ def _return(m, f, ins):
     return None
 
 
-_FRAME_RULES = {
+_RULES = {
     "iconst": _iconst,
     "aconst_null": _aconst_null,
     "pop": _pop_rule,
@@ -471,8 +405,6 @@ _FRAME_RULES = {
     "unarycmp": _unarycmp,
     "ifnull": _ifnull,
     "goto": _goto,
-}
-_MUT_RULES = {
     "new": _new,
     "getfield": _getfield,
     "putfield": _putfield,
@@ -480,19 +412,19 @@ _MUT_RULES = {
     "consume": _consume,
     "consume_dyn": _consume_dyn,
     "acquire": _acquire,
+    "call": _call,
+    "return": _return,
 }
-_RULES = {**_FRAME_RULES, **_MUT_RULES, "call": _call, "return": _return}
 
 
 def _no_rule(m, f, ins):
-    raise _StuckSignal(f"{ins.op} is not an intra-frame instruction")
+    raise _StuckSignal(f"no rule for {ins.op}")
 
 
-def _drive(m: _Machine, fuel: int, trace: Optional[_Trace] = None) -> tuple[object, int]:
+def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
     """Apply rules until a terminal outcome or `fuel` steps.
 
-    Returns (outcome, steps), with outcome None when the fuel ran out.  A
-    `trace` records the state after each nonterminal step.
+    Returns (outcome, steps), with outcome None when the fuel ran out.
     """
     frames, rules = m.frames, _RULES
     for steps in range(1, fuel + 1):
@@ -507,66 +439,7 @@ def _drive(m: _Machine, fuel: int, trace: Optional[_Trace] = None) -> tuple[obje
             return Stuck(s.reason, f.proc, pc), steps
         if outcome is not None:
             return outcome, steps
-        if trace is not None:
-            trace.record(m, ins)
     return None, fuel
-
-
-# ---------------------------------------------------------------------------
-# pure single steps: copy in, apply the rule, freeze the result
-
-
-def step_frame(frame: Frame, ins: Instr) -> Frame:
-    """One intra-frame step; raises _StuckSignal when no rule applies."""
-    f = _thaw(frame)
-    _FRAME_RULES.get(ins.op, _no_rule)(None, f, ins)
-    return _freeze(f)
-
-
-def step_mut(
-    frame: Frame,
-    heap: Heap,
-    ins: Instr,
-    next_addr: int,
-    grant: Optional[bool] = None,
-) -> tuple[Frame, Heap, ResourceValue, ResourceValue, Optional[ResourceValue], int]:
-    """One mutating step.
-
-    Returns (frame', heap', consumed, acquired, request, next_addr').  For
-    `acquire` the caller supplies the policy's decision via `grant`; the
-    request amount is reported back regardless.
-    """
-    if ins.op not in _MUT_RULES:
-        raise _StuckSignal(f"{ins.op} is not a mutating instruction")
-    requests: list = []
-
-    def decide(_i, request):
-        requests.append(request)
-        return grant
-
-    f = _thaw(frame)
-    m = _Machine(None, AcquisitionPolicy(decide), dict(heap), [f], ZERO, ZERO, next_addr, 0)
-    _MUT_RULES[ins.op](m, f, ins)  # a budget violation against total 0 is not this step's concern
-    request = requests[0] if requests else None
-    return _freeze(f), m.heap, m.consumed, m.total, request, m.next_addr
-
-
-def step(state: MachineState, program: Program, policy: AcquisitionPolicy = ALWAYS_DENY):
-    """One small step: a new MachineState, or a terminal outcome."""
-    procs = _proc_table(program)
-    frames = [_thaw(f, procs[f.proc].code) for f in reversed(state.frames)]
-    m = _Machine(
-        procs,
-        policy,
-        dict(state.heap),
-        frames,
-        state.consumed,
-        state.total_allowed,
-        state.next_addr,
-        state.acquire_count,
-    )
-    outcome, _ = _drive(m, 1)
-    return _snapshot(m) if outcome is None else outcome
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +452,6 @@ class RunResult:
     steps: int
     consumed: ResourceValue
     total: ResourceValue
-    states: tuple = ()  # populated only when tracing
 
     @property
     def kind(self) -> str:
@@ -623,16 +495,6 @@ def _start(
     return _Machine(procs, policy, dict(heap or {}), [frame], ZERO, total, next_addr, 0)
 
 
-def initial_state(
-    program: Program,
-    args: Sequence[Value],
-    budget: ResourceValue,
-    heap: Optional[Heap] = None,
-    next_addr: int = 0,
-) -> MachineState:
-    return _snapshot(_start(program, args, budget, ALWAYS_DENY, heap, next_addr))
-
-
 def run(
     program: Program,
     args: Sequence[Value],
@@ -641,17 +503,13 @@ def run(
     fuel: int = 100_000,
     heap: Optional[Heap] = None,
     next_addr: int = 0,
-    trace: bool = False,
 ) -> RunResult:
     """Apply the rules to one machine until a terminal outcome or `fuel` steps
-    elapse.  The caller's `heap` is copied once and never mutated; with
-    `trace`, the result holds a snapshot of the state before every step."""
+    elapse.  The caller's `heap` is copied once and never mutated."""
     if fuel < 0:
         raise VmError(f"fuel must be nonnegative, got {fuel}")
     m = _start(program, args, budget, policy, heap, next_addr)
-    tracer = _Trace(m) if trace else None
-    outcome, steps = _drive(m, fuel, tracer)
+    outcome, steps = _drive(m, fuel)
     if outcome is None:
         outcome = FuelExhausted(fuel)
-    states = tuple(tracer.states) if tracer else ()
-    return RunResult(outcome, steps, m.consumed, m.total, states)
+    return RunResult(outcome, steps, m.consumed, m.total)

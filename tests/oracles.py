@@ -10,6 +10,8 @@ small concrete heap by enumeration, independently of the prover.
 `reference_run` is the pure small-step interpreter: every step returns a
 fresh state, copying the heap on `new`/`putfield`/`free` and the frame tuple
 on every step, so it is quadratic but obviously free of aliasing.
+`traced_run` drives the shipped machine of `amort.vm` one step at a time and
+snapshots it before every step, in the reference's `MachineState` form.
 `ReferencePureContext` is the rescanning pure decision procedure: it keeps
 the disequalities as a list and walks all of them on every query.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from amort.assertions import (
@@ -49,16 +51,15 @@ from amort.assertions import (
 from amort.bytecode import Instr, Program
 from amort.lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, problem_from_constraints, solve
 from amort.resources import ZERO, ResourceValue, res_of_int
+from amort import vm
 from amort.vm import (
     ALWAYS_DENY,
     AcquisitionPolicy,
     Addr,
     BudgetViolation,
-    Frame,
     FuelExhausted,
     Halt,
     Heap,
-    MachineState,
     RunResult,
     Stuck,
     Value,
@@ -562,6 +563,24 @@ def goal_holds(
 # rewritten as in-place updates, kept as they were
 
 
+@dataclass(frozen=True)
+class Frame:
+    proc: str
+    stack: tuple  # head = top of stack
+    locals: Mapping[int, Value]
+    pc: int
+
+
+@dataclass(frozen=True)
+class MachineState:
+    consumed: ResourceValue
+    total_allowed: ResourceValue
+    heap: Heap
+    frames: tuple  # tuple[Frame, ...], head = active frame
+    next_addr: int = 0
+    acquire_count: int = 0
+
+
 def _pop(stack: tuple, n: int = 1) -> tuple:
     if len(stack) < n:
         raise _StuckSignal("stack underflow")
@@ -829,11 +848,13 @@ def reference_run(
     fuel: int = 100_000,
     heap: Optional[Heap] = None,
     next_addr: int = 0,
-    trace: bool = False,
-) -> RunResult:
-    """Drive `_ref_step` until a terminal outcome or `fuel` steps elapse."""
+) -> tuple[RunResult, list[MachineState]]:
+    """Drive `_ref_step` until a terminal outcome or `fuel` steps elapse.
+
+    Returns the result and the state before every step, plus the final
+    state when the fuel ran out."""
     state = _ref_initial_state(program, args, budget, heap, next_addr)
-    states = [state] if trace else []
+    states = [state]
     for steps in range(fuel):
         nxt = _ref_step(state, program, policy)
         if not isinstance(nxt, MachineState):
@@ -843,8 +864,40 @@ def reference_run(
                 consumed, total = nxt.consumed, nxt.total
             else:
                 consumed, total = state.consumed, state.total_allowed
-            return RunResult(nxt, steps + 1, consumed, total, tuple(states))
+            return RunResult(nxt, steps + 1, consumed, total), states
         state = nxt
-        if trace:
-            states.append(state)
-    return RunResult(FuelExhausted(fuel), fuel, state.consumed, state.total_allowed, tuple(states))
+        states.append(state)
+    return RunResult(FuelExhausted(fuel), fuel, state.consumed, state.total_allowed), states
+
+
+# ---------------------------------------------------------------------------
+# the shipped machine, one step at a time
+
+
+def snapshot(m: vm._Machine) -> MachineState:
+    """A frozen copy of a live machine: active frame first, stacks top first."""
+    frames = tuple(
+        Frame(f.proc, tuple(reversed(f.stack)), dict(f.locals), f.pc) for f in reversed(m.frames)
+    )
+    return MachineState(m.consumed, m.total, dict(m.heap), frames, m.next_addr, m.acquire_count)
+
+
+def traced_run(
+    program: Program,
+    args: Sequence[Value],
+    budget: ResourceValue,
+    policy: AcquisitionPolicy = ALWAYS_DENY,
+    fuel: int = 100_000,
+    heap: Optional[Heap] = None,
+    next_addr: int = 0,
+) -> tuple[RunResult, list[MachineState]]:
+    """`vm.run` through `vm._drive(m, 1)`, once per step, with the same
+    states as `reference_run`."""
+    m = vm._start(program, args, budget, policy, heap, next_addr)
+    states = [snapshot(m)]
+    for steps in range(1, fuel + 1):
+        outcome, _ = vm._drive(m, 1)
+        if outcome is not None:
+            return RunResult(outcome, steps, m.consumed, m.total), states
+        states.append(snapshot(m))
+    return RunResult(FuelExhausted(fuel), fuel, m.consumed, m.total), states

@@ -26,9 +26,9 @@ from amort.assertions import (
 from amort.bytecode import parse_program_file, validate
 from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
 from amort.lp import LpProblem, lp_dump, solve
-from amort.prover import prove_vc
+from amort.prover import Prover
 from amort.vcgen import VerificationCondition, gen_program_vcs
-from oracles import enumerate_vertices_oracle, goal_holds, model_check
+from oracles import enumerate_vertices_oracle, goal_holds, model_check, traced_run
 
 F = Fraction
 
@@ -170,9 +170,9 @@ def test_criterion_06_acquisition_traces():
     prog = corpus("block_booking")
     for script in (("grant",), ("deny",), ("grant", "deny")):
         policy = vm.parse_policy(",".join(script))
-        result = vm.run(prog, [], F(0), policy=policy, trace=True)
+        result, states = traced_run(prog, [], F(0), policy=policy)
         assert isinstance(result.outcome, vm.Halt)
-        for state in result.states:
+        for state in states:
             assert state.consumed <= state.total_allowed, script
         heap = result.outcome.heap
         perms = [v for (addr, field), v in sorted(heap.items(), key=lambda kv: kv[0][0].index)
@@ -511,7 +511,7 @@ def _chain_vc(k, last_end):
 def test_criterion_10_prover_termination_guard():
     # provable: nine segments that really do concatenate to x1..null
     t0 = time.perf_counter()
-    res = prove_vc(_chain_vc(9, "null"))
+    res = Prover().prove_vc(_chain_vc(9, "null"))
     proved_in = time.perf_counter() - t0
     assert proved_in < 10.0, f"took {proved_in:.1f}s"
     assert res.ok
@@ -520,7 +520,7 @@ def test_criterion_10_prover_termination_guard():
     # near miss: the final endpoint is never known to be null, so every
     # combination is explored and rejected; the search must still come back
     t0 = time.perf_counter()
-    res = prove_vc(_chain_vc(8, "x9"))
+    res = Prover().prove_vc(_chain_vc(8, "x9"))
     failed_in = time.perf_counter() - t0
     assert failed_in < 10.0, f"took {failed_in:.1f}s"
     assert not res.ok and res.failure is not None

@@ -19,8 +19,6 @@ from amort.assertions import (
     Var,
     assertion_str,
     parse_assertion,
-    pure_contradiction,
-    pure_entails,
     subst_clause,
     subst_goal,
     Exists,
@@ -149,32 +147,31 @@ class TestSubstitution:
 class TestPure:
     def test_transitivity(self):
         atoms = [PureAtom(Var("x"), "=", Var("y")), PureAtom(Var("y"), "=", Var("z"))]
-        assert pure_entails(atoms, PureAtom(Var("x"), "=", Var("z")))
+        assert PureContext(atoms).entails(PureAtom(Var("x"), "=", Var("z")))
 
     def test_no_overclaim(self):
-        assert not pure_entails([PureAtom(Var("x"), "!=", NULL)], PureAtom(Var("x"), "=", NULL))
-        assert not pure_entails([], PureAtom(Var("x"), "=", Var("y")))
+        assert not PureContext([PureAtom(Var("x"), "!=", NULL)]).entails(PureAtom(Var("x"), "=", NULL))
+        assert not PureContext([]).entails(PureAtom(Var("x"), "=", Var("y")))
 
     def test_distinct_literals(self):
-        assert pure_entails([], PureAtom(IntLit(1), "!=", IntLit(2)))
-        assert pure_entails([], PureAtom(NULL, "!=", IntLit(0)))
-        assert not pure_entails([], PureAtom(IntLit(1), "!=", IntLit(1)))
+        assert PureContext([]).entails(PureAtom(IntLit(1), "!=", IntLit(2)))
+        assert PureContext([]).entails(PureAtom(NULL, "!=", IntLit(0)))
+        assert not PureContext([]).entails(PureAtom(IntLit(1), "!=", IntLit(1)))
 
     def test_substitutivity_into_diseq(self):
         atoms = [PureAtom(Var("x"), "!=", Var("y")), PureAtom(Var("y"), "=", Var("z"))]
-        assert pure_entails(atoms, PureAtom(Var("x"), "!=", Var("z")))
+        assert PureContext(atoms).entails(PureAtom(Var("x"), "!=", Var("z")))
 
     def test_contradiction(self):
-        assert pure_contradiction([PureAtom(Var("x"), "=", Var("y")), PureAtom(Var("x"), "!=", Var("y"))])
-        assert pure_contradiction([PureAtom(Var("x"), "=", NULL), PureAtom(Var("x"), "!=", NULL)])
-        assert not pure_contradiction([PureAtom(Var("x"), "!=", Var("y"))])
-        assert pure_contradiction(
-            [PureAtom(Var("x"), "=", IntLit(1)), PureAtom(Var("x"), "=", IntLit(2))]
-        )
+        x, y = Var("x"), Var("y")
+        assert PureContext([PureAtom(x, "=", y), PureAtom(x, "!=", y)]).contradictory()
+        assert PureContext([PureAtom(x, "=", NULL), PureAtom(x, "!=", NULL)]).contradictory()
+        assert not PureContext([PureAtom(x, "!=", y)]).contradictory()
+        assert PureContext([PureAtom(x, "=", IntLit(1)), PureAtom(x, "=", IntLit(2))]).contradictory()
 
     def test_ex_falso(self):
         atoms = [PureAtom(Var("x"), "=", NULL), PureAtom(Var("x"), "!=", NULL)]
-        assert pure_entails(atoms, PureAtom(Var("p"), "=", Var("q")))
+        assert PureContext(atoms).entails(PureAtom(Var("p"), "=", Var("q")))
 
     names = st.sampled_from(["x", "y", "z", "w"])
 
@@ -182,9 +179,9 @@ class TestPure:
     def test_equalities_form_equivalence(self, pairs, a, b):
         atoms = [PureAtom(Var(l), "=", Var(r)) for l, r in pairs]
         # reflexive, symmetric
-        assert pure_entails(atoms, PureAtom(Var(a), "=", Var(a)))
-        if pure_entails(atoms, PureAtom(Var(a), "=", Var(b))):
-            assert pure_entails(atoms, PureAtom(Var(b), "=", Var(a)))
+        assert PureContext(atoms).entails(PureAtom(Var(a), "=", Var(a)))
+        if PureContext(atoms).entails(PureAtom(Var(a), "=", Var(b))):
+            assert PureContext(atoms).entails(PureAtom(Var(b), "=", Var(a)))
 
 
 TERM_POOL = (Var("x"), Var("y"), Var("z"), Var("w"), Var("v"), IntLit(0), IntLit(1), NULL)

@@ -1,6 +1,9 @@
 """Command-line driver: argument handling, exit codes, output shapes."""
 
+import errno
 import json
+import os
+import sys
 
 import pytest
 
@@ -172,3 +175,29 @@ class TestCheck:
         captured = capsys.readouterr()
         assert "no budget violations" not in captured.out
         assert captured.err.startswith("error:")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away: every write and flush raises EPIPE."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text=""):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_quietly(self, tmp_path, monkeypatch, capsys):
+        with open(tmp_path / "stdout", "w") as f:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(f.fileno()))
+            code = run_cli("analyze", "merge_inner", "--emit-vcs", "--emit-constraints", "--lp-dump")
+            # the descriptor now points at the null device
+            assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ""

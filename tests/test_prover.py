@@ -34,12 +34,8 @@ from amort.prover import (
     EVar,
     ProofContext,
     Prover,
-    match_heap,
     match_resource,
     merge_constraints,
-    prove,
-    prove_vc,
-    saturate,
 )
 from amort.resources import ResourceExpr
 from amort.vcgen import gen_program_vcs
@@ -53,6 +49,13 @@ def cons_strs(cons):
     return sorted(str(c) for c in cons)
 
 
+def match_heap(ctx, goal_sigma):
+    """Each way of covering `goal_sigma` with the context's heap, as
+    (remaining context, constraints, bindings of the goal's unification variables)."""
+    for ctx2, theta, cons in Prover()._match_atoms(ctx, tuple(goal_sigma), {}, (), 0):
+        yield ctx2, cons, theta
+
+
 # ---------------------------------------------------------------------------
 # saturation
 
@@ -60,7 +63,7 @@ def cons_strs(cons):
 class TestSaturate:
     def test_nonnull_head_unfolds_one_cell(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (ListSeg(R(1), x, NULL),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         kinds = sorted(type(a).__name__ for a in branch.heap)
         assert kinds == ["ListSeg", "PointsTo", "PointsTo"]
         assert branch.resource == R(1)
@@ -69,7 +72,7 @@ class TestSaturate:
 
     def test_cells_imply_distinctness_and_nonnull(self):
         ctx = ProofContext((), (PointsTo(x, "f", Var("a")), PointsTo(y, "f", Var("b"))))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         pc = branch.pc
         assert pc.unequal(x, NULL)
         assert pc.unequal(y, NULL)
@@ -77,29 +80,29 @@ class TestSaturate:
 
     def test_different_fields_do_not_imply_distinctness(self):
         ctx = ProofContext((), (PointsTo(x, "next", y), PointsTo(x, "data", d)))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         assert not branch.pc.contradictory()
 
     def test_equal_endpoints_drop_segment(self):
         ctx = ProofContext((), (ListSeg(R(1), x, x),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         assert branch.heap == ()
         assert branch.resource == R(0)
 
     def test_null_head_forces_null_end(self):
         ctx = ProofContext((PureAtom(x, "=", NULL),), (ListSeg(R(1), x, y),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         assert branch.heap == ()
         assert branch.pc.equal(y, NULL)
 
     def test_undecided_head_stays_folded(self):
         ctx = ProofContext((), (ListSeg(V("a"), x, NULL),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         assert branch.heap == ctx.heap
 
     def test_nonnull_head_unknown_end_branches(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (ListSeg(R(1), x, y),))
-        branches = saturate(ctx)
+        branches = Prover().saturate(ctx)
         assert len(branches) == 2
         empty, cons = branches
         assert empty.heap == () and empty.pc.equal(x, y)
@@ -110,7 +113,7 @@ class TestSaturate:
         # x != y alone means the segment is non-empty, even though nothing
         # is yet known about whether x is null
         ctx = ProofContext((PureAtom(x, "!=", y),), (ListSeg(R(1), x, y),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         cells = [a for a in branch.heap if isinstance(a, PointsTo)]
         assert {c.field for c in cells} == {"next", "data"}
         assert branch.resource == R(1)
@@ -119,11 +122,11 @@ class TestSaturate:
     def test_contradictory_branch_pruned(self):
         # a cell at a null address is impossible, so no branch survives
         ctx = ProofContext((PureAtom(x, "=", NULL),), (PointsTo(x, "f", y),))
-        assert saturate(ctx) == []
+        assert Prover().saturate(ctx) == []
 
     def test_tree_unfolds_when_root_nonnull(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (TreeSeg(V("t"), x),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         trees = [a for a in branch.heap if isinstance(a, TreeSeg)]
         cells = [a for a in branch.heap if isinstance(a, PointsTo)]
         assert len(trees) == 2 and len(cells) == 2
@@ -132,7 +135,7 @@ class TestSaturate:
 
     def test_tree_null_root_dropped(self):
         ctx = ProofContext((PureAtom(x, "=", NULL),), (TreeSeg(R(2), x),))
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         assert branch.heap == ()
 
     def test_unfolding_cascades_through_decided_tails(self):
@@ -141,7 +144,7 @@ class TestSaturate:
             (PureAtom(x, "!=", NULL), PureAtom(x, "!=", y)),
             (ListSeg(R(1), x, y),),
         )
-        (branch,) = saturate(ctx)
+        (branch,) = Prover().saturate(ctx)
         segs = [a for a in branch.heap if isinstance(a, ListSeg)]
         assert len(segs) == 1 and segs[0].end == y
 
@@ -188,7 +191,7 @@ class TestSharedClosures:
             (ListSeg(R(1), x, y), PointsTo(z, "next", d)),
         )
         ctx.pc
-        empty, cons = saturate(ctx)
+        empty, cons = Prover().saturate(ctx)
         assert empty.pc.equal(x, y) and cons.pc.unequal(x, z)
         self.assert_answers_own_atoms(ctx, empty, cons)
 
@@ -307,13 +310,13 @@ def leaf(text):
 class TestProve:
     def test_identity_with_absorption(self):
         ctx = ProofContext((), (ListSeg(V("a"), x, NULL),), V("b"))
-        res = prove(ctx, leaf("; lseg($a, x, null) ; 0"))
+        res = Prover().prove(ctx, leaf("; lseg($a, x, null) ; 0"))
         assert res.ok
         assert cons_strs(res.constraints) == ["$b >= 0"]
 
     def test_leftover_heap_is_a_leak(self):
         ctx = ProofContext((), (PointsTo(x, "f", y),))
-        res = prove(ctx, Leaf(EMP))
+        res = Prover().prove(ctx, Leaf(EMP))
         assert not res.ok
         assert "leftover heap" in res.failure.message
         assert "pt(x, f, y)" in res.failure.message
@@ -321,21 +324,21 @@ class TestProve:
     def test_overdraft_succeeds_with_infeasible_constraint(self):
         # the resource rule never fails; infeasibility is the LP's business
         ctx = ProofContext()
-        res = prove(ctx, leaf(" ; ; 1"))
+        res = Prover().prove(ctx, leaf(" ; ; 1"))
         assert res.ok
         assert cons_strs(res.constraints) == ["0 >= 1"]
 
     def test_star_threads_leftover_to_continuation(self):
         ctx = ProofContext((), (PointsTo(x, "f", y), PointsTo(z, "g", d)), R(2))
         goal = Star(parse_assertion("; pt(x, f, y) ; 1"), leaf("; pt(z, g, d) ; 1"))
-        res = prove(ctx, goal)
+        res = Prover().prove(ctx, goal)
         assert res.ok
         assert cons_strs(res.constraints) == ["1 >= 1", "2 >= 1"]
 
     def test_wand_extends_context(self):
         ctx = ProofContext()
         goal = Wand(parse_assertion("; pt(x, f, y) ; 2"), leaf("; pt(x, f, y) ; 2"))
-        res = prove(ctx, goal)
+        res = Prover().prove(ctx, goal)
         assert res.ok
         assert cons_strs(res.constraints) == ["2 >= 2"]
 
@@ -343,7 +346,7 @@ class TestProve:
         # one hypothesis disjunct gives a cell, the other gives nothing;
         # the continuation must hold under both, and it cannot under the second
         hyp = parse_assertion("; pt(x, f, y) ; 0 \\/ emp")
-        res = prove(ProofContext(), Wand(hyp, leaf("; pt(x, f, y) ; 0")))
+        res = Prover().prove(ProofContext(), Wand(hyp, leaf("; pt(x, f, y) ; 0")))
         assert not res.ok
 
     def test_implies_assumes_guard(self):
@@ -353,18 +356,18 @@ class TestProve:
             leaf("; ; 0"),
         )
         # assuming x = null empties the segment, so no leak remains
-        assert prove(ctx, goal).ok
+        assert Prover().prove(ctx, goal).ok
 
     def test_contradictory_guard_is_vacuous(self):
         ctx = ProofContext((PureAtom(x, "=", NULL),))
         goal = Implies(PureAtom(x, "!=", NULL), leaf("; pt(x, f, y) ; 5"))
-        res = prove(ctx, goal)
+        res = Prover().prove(ctx, goal)
         assert res.ok and res.constraints == ()
 
     def test_conjunction_proves_both_sides(self):
         ctx = ProofContext((), (), R(2))
         goal = And(leaf("; ; 1"), leaf("; ; 2"))
-        res = prove(ctx, goal)
+        res = Prover().prove(ctx, goal)
         assert res.ok
         assert cons_strs(res.constraints) == ["2 >= 1", "2 >= 2"]
 
@@ -377,23 +380,23 @@ class TestProve:
                 Leaf((Clause(("w",), (PureAtom(Var("w"), "=", Var("v")),), (PointsTo(x, "f", Var("w")),)),)),
             ),
         )
-        assert prove(ProofContext(), goal).ok
+        assert Prover().prove(ProofContext(), goal).ok
 
     def test_exists_witness_found_by_matching(self):
         ctx = ProofContext((), (PointsTo(x, "next", y),))
         goal = Exists("v", leaf("; pt(x, next, v) ; 0"))
-        assert prove(ctx, goal).ok
+        assert Prover().prove(ctx, goal).ok
 
     def test_exists_falls_back_to_candidate_enumeration(self):
         # the witness only occurs in pure disequalities, so unification
         # cannot find it; enumeration of context terms can (null works)
         ctx = ProofContext((PureAtom(x, "!=", NULL),))
         goal = Exists("v", Leaf((Clause((), (PureAtom(Var("v"), "!=", x),)),)))
-        assert prove(ctx, goal).ok
+        assert Prover().prove(ctx, goal).ok
 
     def test_existential_clause_variables_unify(self):
         ctx = ProofContext((), (PointsTo(x, "next", y), PointsTo(x, "data", IntLit(3))))
-        res = prove(ctx, leaf("exists v w. ; pt(x, next, v), pt(x, data, w) ; 0"))
+        res = Prover().prove(ctx, leaf("exists v w. ; pt(x, next, v), pt(x, data, w) ; 0"))
         assert res.ok
 
     def test_disjunctive_antecedent_requires_all_clauses(self):
@@ -404,7 +407,7 @@ class TestProve:
             antecedent = parse_assertion(src)
             consequent = leaf("; lseg(1, x, null) ; 0")
 
-        res = prove_vc(Vc())
+        res = Prover().prove_vc(Vc())
         assert res.ok
         # clause one: empty segment, pay nothing; clause two: peel then absorb
         assert "1 >= 1" in cons_strs(res.constraints)
@@ -413,7 +416,7 @@ class TestProve:
         ctx1 = ProofContext((), (ListSeg(V("a"), x, NULL),), V("b"))
         ctx2 = ProofContext((), (ListSeg(V("a"), x, NULL),), V("b"))
         goal = leaf("; lseg($c, x, null) ; $d")
-        r1, r2 = prove(ctx1, goal), prove(ctx2, goal)
+        r1, r2 = Prover().prove(ctx1, goal), Prover().prove(ctx2, goal)
         assert r1.ok and [str(c) for c in r1.constraints] == [str(c) for c in r2.constraints]
 
     def test_depth_bound_reports_hard_failure(self):
@@ -473,7 +476,7 @@ class TestEndToEnd:
         assert [vc.vc_id for vc in vcs] == ["iterate@2", "iterate@entry"]
         got = ()
         for vc in vcs:
-            res = prove_vc(vc)
+            res = Prover().prove_vc(vc)
             assert res.ok, str(res.failure)
             got = merge_constraints(got, res.constraints)
         assert cons_strs(got) == [
@@ -494,6 +497,6 @@ class TestEndToEnd:
     def test_rerunning_is_reproducible(self):
         prog = parse_program(ITERATE)
         vcs = gen_program_vcs(prog)
-        first = [tuple(str(c) for c in prove_vc(vc).constraints) for vc in vcs]
-        second = [tuple(str(c) for c in prove_vc(vc).constraints) for vc in vcs]
+        first = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
+        second = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
         assert first == second

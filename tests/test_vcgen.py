@@ -18,7 +18,7 @@ from amort.assertions import (
     parse_assertion,
 )
 from amort.bytecode import FieldDescriptor, Instr, parse_program, validate
-from amort.prover import prove_vc
+from amort.prover import Prover
 from amort.resources import ResourceExpr
 from amort.vcgen import (
     ProcSpec,
@@ -197,7 +197,7 @@ class TestGenVcs:
         assert validate(prog) == []
         cons = []
         for vc in gen_program_vcs(prog):
-            res = prove_vc(vc)
+            res = Prover().prove_vc(vc)
             assert res.ok, vc.vc_id
             cons.extend(res.constraints)
         assert cons  # at least the loop payment shows up
@@ -247,7 +247,7 @@ entry f
         # unrolled wlp: witnessed by the proof emitting the peel payment
         prog = parse_program(WALK)
         body_vc = gen_program_vcs(prog)[0]
-        res = prove_vc(body_vc)
+        res = Prover().prove_vc(body_vc)
         assert res.ok
         assert any("$a" in str(c) for c in res.constraints)
 

@@ -5,165 +5,174 @@ from fractions import Fraction
 
 import pytest
 
+from amort import vm
 from amort.bytecode import FieldDescriptor, Instr, parse_program, parse_program_file
 from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
+from amort.resources import ZERO
 from amort.vm import (
     ALWAYS_DENY,
     ALWAYS_GRANT,
     AcquisitionPolicy,
     Addr,
     BudgetViolation,
-    Frame,
     FuelExhausted,
     Halt,
-    MachineState,
     Stuck,
     VmError,
-    initial_state,
+    _StuckSignal,
     parse_policy,
     run,
-    step,
-    step_frame,
-    step_mut,
 )
-from oracles import reference_run
+from oracles import reference_run, snapshot, traced_run
 
 PAIR = FieldDescriptor((("data", "int"), ("next", "ref")))
 
 
-def frame(stack=(), locals_=None, pc=0):
-    return Frame(proc="f", stack=tuple(stack), locals=dict(locals_ or {}), pc=pc)
+def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False):
+    """Apply the shipped rule for `ins` to a one-frame machine with total 0.
+
+    `stack` is given top first, as in the returned snapshot; the frame is
+    its `frames[0]`, and `total_allowed` is what `acquire` was granted.
+    Returns (snapshot, the requests `acquire` made).  The rule's outcome is
+    dropped: a budget violation against total 0 is not these tests' concern.
+    """
+    requests = []
+
+    def decide(_i, request):
+        requests.append(request)
+        return grant
+
+    f = vm._Frame("f", (), list(reversed(stack)), dict(locals_ or {}), 0)
+    m = vm._Machine({}, AcquisitionPolicy(decide), dict(heap or {}), [f], ZERO, ZERO, next_addr, 0)
+    vm._RULES[ins.op](m, f, ins)
+    return snapshot(m), requests
+
+
+def step_frame(ins, stack=(), locals_=None):
+    """The frame after one intra-frame rule."""
+    state, _ = apply_rule(ins, stack, locals_)
+    return state.frames[0]
 
 
 class TestStepFrame:
     def test_iconst_pushes(self):
-        f = step_frame(frame(stack=[7]), Instr("iconst", value=5))
+        f = step_frame(Instr("iconst", value=5), stack=[7])
         assert f.stack == (5, 7)
         assert f.pc == 1
 
     def test_ifnull_taken_pops(self):
-        f = step_frame(frame(stack=[None, 3]), Instr("ifnull", target=9))
+        f = step_frame(Instr("ifnull", target=9), stack=[None, 3])
         assert f.pc == 9
         assert f.stack == (3,)
 
     def test_ifnull_not_taken(self):
-        f = step_frame(frame(stack=[Addr(1)]), Instr("ifnull", target=9))
+        f = step_frame(Instr("ifnull", target=9), stack=[Addr(1)])
         assert f.pc == 1
         assert f.stack == ()
 
     def test_ibinop_type_mismatch_sticks(self):
-        from amort.vm import _StuckSignal
-
-        with pytest.raises(_StuckSignal):
-            step_frame(frame(stack=[Addr(1), 1]), Instr("ibinop", alu="add"))
+        with pytest.raises(_StuckSignal, match="ibinop add on non-integer operands"):
+            step_frame(Instr("ibinop", alu="add"), stack=[Addr(1), 1])
 
     def test_ibinop_operand_order(self):
         # top of stack is the left operand
-        f = step_frame(frame(stack=[7, 3]), Instr("ibinop", alu="sub"))
+        f = step_frame(Instr("ibinop", alu="sub"), stack=[7, 3])
         assert f.stack == (4,)
 
     def test_div_truncates_toward_zero(self):
-        f = step_frame(frame(stack=[-7, 2]), Instr("ibinop", alu="div"))
+        f = step_frame(Instr("ibinop", alu="div"), stack=[-7, 2])
         assert f.stack == (-3,)
-        f = step_frame(frame(stack=[-7, 2]), Instr("ibinop", alu="rem"))
+        f = step_frame(Instr("ibinop", alu="rem"), stack=[-7, 2])
         assert f.stack == (-1,)
 
     def test_binarycmp_compares_top_to_second(self):
-        f = step_frame(frame(stack=[1, 2]), Instr("binarycmp", cmp="lt", target=5))
+        f = step_frame(Instr("binarycmp", cmp="lt", target=5), stack=[1, 2])
         assert f.pc == 5  # 1 < 2: taken
-        f = step_frame(frame(stack=[2, 1]), Instr("binarycmp", cmp="lt", target=5))
+        f = step_frame(Instr("binarycmp", cmp="lt", target=5), stack=[2, 1])
         assert f.pc == 1
 
     def test_binarycmp_refs_eq(self):
         a = Addr(3)
-        f = step_frame(frame(stack=[a, a]), Instr("binarycmp", cmp="eq", target=5))
+        f = step_frame(Instr("binarycmp", cmp="eq", target=5), stack=[a, a])
         assert f.pc == 5
-        f = step_frame(frame(stack=[a, None]), Instr("binarycmp", cmp="ne", target=5))
+        f = step_frame(Instr("binarycmp", cmp="ne", target=5), stack=[a, None])
         assert f.pc == 5
 
     def test_binarycmp_refs_order_sticks(self):
-        from amort.vm import _StuckSignal
-
-        with pytest.raises(_StuckSignal):
-            step_frame(frame(stack=[Addr(1), Addr(2)]), Instr("binarycmp", cmp="lt", target=5))
+        with pytest.raises(_StuckSignal, match="binarycmp lt requires integer operands"):
+            step_frame(Instr("binarycmp", cmp="lt", target=5), stack=[Addr(1), Addr(2)])
 
     def test_unarycmp_against_zero(self):
-        f = step_frame(frame(stack=[0]), Instr("unarycmp", cmp="eq", target=4))
+        f = step_frame(Instr("unarycmp", cmp="eq", target=4), stack=[0])
         assert f.pc == 4
-        f = step_frame(frame(stack=[-2]), Instr("unarycmp", cmp="ge", target=4))
+        f = step_frame(Instr("unarycmp", cmp="ge", target=4), stack=[-2])
         assert f.pc == 1
 
     def test_load_uninitialised_sticks(self):
-        from amort.vm import _StuckSignal
-
         with pytest.raises(_StuckSignal, match="uninitialised local 2"):
-            step_frame(frame(), Instr("load", slot=2))
+            step_frame(Instr("load", slot=2))
 
     def test_store_then_load(self):
-        f = step_frame(frame(stack=[41]), Instr("store", slot=1))
+        f = step_frame(Instr("store", slot=1), stack=[41])
         assert f.locals[1] == 41
-        f2 = step_frame(f, Instr("load", slot=1))
+        f2 = step_frame(Instr("load", slot=1), f.stack, f.locals)
         assert f2.stack == (41,)
 
 
 class TestStepMut:
     def test_new_defaults_and_freshness(self):
-        f, heap, consumed, acquired, req, nxt = step_mut(frame(), {}, Instr("new", desc=PAIR), 0)
-        a = f.stack[0]
+        s, req = apply_rule(Instr("new", desc=PAIR))
+        a = s.frames[0].stack[0]
         assert isinstance(a, Addr)
-        assert heap == {(a, "data"): 0, (a, "next"): None}
-        assert consumed == 0 and acquired == 0 and req is None
-        assert nxt == 1
+        assert s.heap == {(a, "data"): 0, (a, "next"): None}
+        assert s.consumed == 0 and s.total_allowed == 0 and req == []
+        assert s.next_addr == 1
 
     def test_putfield_requires_cell(self):
-        from amort.vm import _StuckSignal
-
         a = Addr(0)
         heap = {(a, "data"): 0}
-        f, heap2, *_ = step_mut(frame(stack=[a, 3]), heap, Instr("putfield", field="data"), 1)
-        assert heap2[(a, "data")] == 3
+        s, _ = apply_rule(Instr("putfield", field="data"), stack=[a, 3], heap=heap, next_addr=1)
+        assert s.heap[(a, "data")] == 3
         assert heap[(a, "data")] == 0  # input heap untouched
         with pytest.raises(_StuckSignal, match="cell absent"):
-            step_mut(frame(stack=[a, 3]), heap, Instr("putfield", field="next"), 1)
+            apply_rule(Instr("putfield", field="next"), stack=[a, 3], heap=heap, next_addr=1)
 
     def test_getfield(self):
         a = Addr(0)
         heap = {(a, "next"): None}
-        f, *_ = step_mut(frame(stack=[a]), heap, Instr("getfield", field="next"), 1)
-        assert f.stack == (None,)
+        s, _ = apply_rule(Instr("getfield", field="next"), stack=[a], heap=heap, next_addr=1)
+        assert s.frames[0].stack == (None,)
 
     def test_free_removes_descriptor_fields(self):
         a = Addr(0)
         heap = {(a, "data"): 1, (a, "next"): None, (Addr(1), "data"): 2}
-        f, heap2, *_ = step_mut(frame(stack=[a]), heap, Instr("free", desc=PAIR), 2)
-        assert heap2 == {(Addr(1), "data"): 2}
+        s, _ = apply_rule(Instr("free", desc=PAIR), stack=[a], heap=heap, next_addr=2)
+        assert s.heap == {(Addr(1), "data"): 2}
 
     def test_free_partial_sticks(self):
-        from amort.vm import _StuckSignal
-
         a = Addr(0)
         with pytest.raises(_StuckSignal, match="absent"):
-            step_mut(frame(stack=[a]), {(a, "data"): 1}, Instr("free", desc=PAIR), 1)
+            apply_rule(Instr("free", desc=PAIR), stack=[a], heap={(a, "data"): 1}, next_addr=1)
 
     def test_consume_reports_amount(self):
-        *_, consumed, acquired, req, _ = step_mut(frame(), {}, Instr("consume", amount=Fraction(2)), 0)
-        assert consumed == 2 and acquired == 0
+        s, _ = apply_rule(Instr("consume", amount=Fraction(2)))
+        assert s.consumed == 2 and s.total_allowed == 0
 
     def test_consume_dyn_clamps(self):
-        f, _, consumed, *_ = step_mut(frame(stack=[-4]), {}, Instr("consume_dyn"), 0)
-        assert consumed == 0
-        f, _, consumed, *_ = step_mut(frame(stack=[4]), {}, Instr("consume_dyn"), 0)
-        assert consumed == 4
+        s, _ = apply_rule(Instr("consume_dyn"), stack=[-4])
+        assert s.consumed == 0
+        s, _ = apply_rule(Instr("consume_dyn"), stack=[4])
+        assert s.consumed == 4
 
     def test_acquire_deny_pushes_zero(self):
-        f, _, consumed, acquired, req, _ = step_mut(frame(stack=[4]), {}, Instr("acquire"), 0, grant=False)
-        assert f.stack == (0,)
-        assert (consumed, acquired, req) == (0, 0, 4)
+        s, req = apply_rule(Instr("acquire"), stack=[4], grant=False)
+        assert s.frames[0].stack == (0,)
+        assert (s.consumed, s.total_allowed, req) == (0, 0, [4])
 
     def test_acquire_grant_pushes_one(self):
-        f, _, consumed, acquired, req, _ = step_mut(frame(stack=[4]), {}, Instr("acquire"), 0, grant=True)
-        assert f.stack == (1,)
-        assert (consumed, acquired, req) == (0, 4, 4)
+        s, req = apply_rule(Instr("acquire"), stack=[4], grant=True)
+        assert s.frames[0].stack == (1,)
+        assert (s.consumed, s.total_allowed, req) == (0, 4, [4])
 
 
 def parse(src):
@@ -348,17 +357,17 @@ proc main(n:int) locals i:int {
 entry main
 """
         prog = parse(src)
-        runs = [run(prog, [6], budget=Fraction(6), trace=True) for _ in range(2)]
-        assert runs[0].outcome == runs[1].outcome
-        assert runs[0].steps == runs[1].steps
-        assert [s.consumed for s in runs[0].states] == [s.consumed for s in runs[1].states]
+        (r0, states0), (r1, states1) = [traced_run(prog, [6], budget=Fraction(6)) for _ in range(2)]
+        assert r0.outcome == r1.outcome
+        assert r0.steps == r1.steps
+        assert [s.consumed for s in states0] == [s.consumed for s in states1]
 
     def test_consumed_monotone_and_total_constant_without_acquire(self):
         src = "proc main() {\n 0: consume 1\n 1: consume 1/2\n 2: iconst 0\n 3: return\n}\nentry main"
-        res = run(parse(src), [], budget=Fraction(5), trace=True)
-        consumed = [s.consumed for s in res.states]
+        _, states = traced_run(parse(src), [], budget=Fraction(5))
+        consumed = [s.consumed for s in states]
         assert consumed == sorted(consumed)
-        assert {s.total_allowed for s in res.states} == {Fraction(5)}
+        assert {s.total_allowed for s in states} == {Fraction(5)}
 
     def test_frame_locality_of_mutation(self):
         # a putfield touches exactly the named cell
@@ -376,12 +385,12 @@ proc main() locals a:ref, b:ref {
 }
 entry main
 """
-        res = run(parse(src), [], budget=Fraction(0), trace=True)
+        res, states = traced_run(parse(src), [], budget=Fraction(0))
         assert isinstance(res.outcome, Halt)
-        before = res.states[6].heap  # state just before the putfield
-        after = res.states[7].heap
+        before = states[6].heap  # state just before the putfield
+        after = states[7].heap
         changed = {c for c in before if before[c] != after.get(c, object())}
-        a = res.states[6].frames[0].stack[0]
+        a = states[6].frames[0].stack[0]
         assert changed == {(a, "data")}
         assert set(before) == set(after)
 
@@ -399,9 +408,9 @@ proc main() locals a:ref {
 }
 entry main
 """
-        res = run(parse(src), [], budget=Fraction(0), trace=True)
-        first = res.states[1].frames[0].stack[0]
-        final = res.states[6].frames[0].locals[0]
+        _, states = traced_run(parse(src), [], budget=Fraction(0))
+        first = states[1].frames[0].stack[0]
+        final = states[6].frames[0].locals[0]
         assert first != final
 
 
@@ -462,17 +471,17 @@ def assert_same_states(got, want):
 
 
 def agree(prog, inputs, budget, policy, fuel=100_000):
-    """Run untraced, traced and on the reference; return the outcome's kind."""
+    """Run with `run`, step by step on the shipped machine and on the
+    reference; return the outcome's kind."""
     args, heap, next_addr, _ = inputs
     kw = dict(policy=policy, fuel=fuel, heap=heap, next_addr=next_addr)
-    ref = reference_run(prog, args, budget, trace=True, **kw)
+    ref, ref_states = reference_run(prog, args, budget, **kw)
     plain = run(prog, args, budget, **kw)
-    traced = run(prog, args, budget, trace=True, **kw)
+    traced, states = traced_run(prog, args, budget, **kw)
     want = (ref.outcome, ref.steps, ref.consumed, ref.total)
     assert (plain.outcome, plain.steps, plain.consumed, plain.total) == want
     assert (traced.outcome, traced.steps, traced.consumed, traced.total) == want
-    assert plain.states == ()
-    assert_same_states(traced.states, ref.states)
+    assert_same_states(states, ref_states)
     return ref.kind
 
 
@@ -505,17 +514,7 @@ class TestDifferential:
     def test_single_steps_follow_the_reference(self, name):
         valuation = defaultdict(Fraction) if name in REJECTED else None
         prog, sized = sized_inputs(name, valuation)
-        args, heap, next_addr, _ = sized[3]
-        budget = Fraction(100)
-        ref = reference_run(
-            prog, args, budget, policy=ALWAYS_GRANT, heap=heap, next_addr=next_addr, trace=True
-        )
-        states = [initial_state(prog, args, budget, heap, next_addr)]
-        while isinstance(states[-1], MachineState):
-            states.append(step(states[-1], prog, ALWAYS_GRANT))
-        assert states[-1] == ref.outcome
-        assert len(states) - 1 == ref.steps
-        assert_same_states(states[:-1], ref.states)
+        agree(prog, sized[3], Fraction(100), ALWAYS_GRANT)
 
     def test_stuck_runs_agree(self):
         src = """
@@ -535,15 +534,19 @@ entry main
 
 
 class TestInputsUntouched:
-    """`run` copies the caller's heap once and mutates only its copy."""
+    """`run` copies the caller's heap once and mutates only its copy; so
+    does the machine `traced_run` steps."""
 
     @pytest.mark.parametrize("name", ["copy_list", "tree_mirror", "queue"])
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_heap_argument_survives_the_run(self, name, trace):
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_heap_argument_survives_the_run(self, name, stepped):
         prog, sized = sized_inputs(name)
         args, heap, next_addr, budget = sized[8]
         before = dict(heap)
-        res = run(prog, args, budget, heap=heap, next_addr=next_addr, trace=trace)
+        if stepped:
+            res, _ = traced_run(prog, args, budget, heap=heap, next_addr=next_addr)
+        else:
+            res = run(prog, args, budget, heap=heap, next_addr=next_addr)
         assert isinstance(res.outcome, Halt)
         assert res.outcome.heap != before  # the program did write, allocate or free
         assert heap == before
@@ -565,5 +568,3 @@ class TestBounds:
     def test_negative_budget_raises(self):
         with pytest.raises(VmError, match="budget"):
             run(parse(self.SRC), [], budget=Fraction(-1))
-        with pytest.raises(VmError, match="budget"):
-            initial_state(parse(self.SRC), [], Fraction(-1, 2))
