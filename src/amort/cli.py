@@ -582,50 +582,52 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     code, prog = _load_validated(ns.file)
     if prog is None:
         return code
+    # with the JSON on stdout, the text report goes to stderr
+    out = sys.stderr if ns.json == "-" else sys.stdout
     try:
         report = analyze_program(prog)
     except AnalysisError as e:
         if ns.emit_vcs and e.vcs:
             for vc in e.vcs:
-                print(vc)
+                print(vc, file=out)
         if ns.emit_constraints and e.constraints:
             for c in e.constraints:
-                print(c)
+                print(c, file=out)
         print(f"analysis failed: {e.message}", file=sys.stderr)
         return e.exit_code
 
     if ns.emit_vcs:
         # re-generate for display; generation is deterministic
         for vc in gen_program_vcs(prog):
-            print(vc)
-        print()
+            print(vc, file=out)
+        print(file=out)
     if ns.emit_constraints:
         for c in report.constraints:
-            print(c)
-        print()
+            print(c, file=out)
+        print(file=out)
     if ns.lp_dump:
         primary, pool = metavariable_pool(prog)
         problem = problem_from_constraints(
             report.constraints, {v: Fraction(1) for v in primary}, pool
         )
-        print(lp_dump(problem), end="")
-        print()
+        print(lp_dump(problem), end="", file=out)
+        print(file=out)
 
     for p in report.procs:
-        print(f"{p.name}:")
-        print(f"  requires  {p.requires}")
-        print(f"       =>   {p.solved_requires}")
-        print(f"  ensures   {p.ensures}")
-        print(f"       =>   {p.solved_ensures}")
+        print(f"{p.name}:", file=out)
+        print(f"  requires  {p.requires}", file=out)
+        print(f"       =>   {p.solved_requires}", file=out)
+        print(f"  ensures   {p.ensures}", file=out)
+        print(f"       =>   {p.solved_ensures}", file=out)
         for (off, sym), (_, solved) in zip(p.invariants, p.solved_invariants):
-            print(f"  invariant@{off}  {sym}")
-            print(f"       =>   {solved}")
+            print(f"  invariant@{off}  {sym}", file=out)
+            print(f"       =>   {solved}", file=out)
     pairs = ", ".join(f"${k} = {v}" for k, v in sorted(report.valuation.items()))
-    print(f"valuation: {pairs}")
-    print(f"objective (entry precondition total): {report.objective}")
-    print(f"VCs proved: {len(report.vc_outcomes)}; constraints: {len(report.constraints)}")
+    print(f"valuation: {pairs}", file=out)
+    print(f"objective (entry precondition total): {report.objective}", file=out)
+    print(f"VCs proved: {len(report.vc_outcomes)}; constraints: {len(report.constraints)}", file=out)
     t = report.timings
-    print(f"timings: vcgen {t['vcgen']:.3f}s, prove {t['prove']:.3f}s, lp {t['lp']:.3f}s")
+    print(f"timings: vcgen {t['vcgen']:.3f}s, prove {t['prove']:.3f}s, lp {t['lp']:.3f}s", file=out)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
 

@@ -3,29 +3,36 @@
 The prover's output is a set of linear inequalities over annotation
 metavariables.  Solving ``minimise (sum of precondition variables) subject to
 those inequalities and y >= 0`` yields the tightest per-element annotations.
-Everything here is exact ``Fraction`` arithmetic: a feasible answer satisfies
-every constraint exactly, and the published corpus values are reproduced
-bit-for-bit rather than within a tolerance.
+Everything here is exact: a feasible answer satisfies every constraint
+exactly, and the published corpus values are reproduced bit-for-bit rather
+than within a tolerance.
 
-The solver is a sparse exact simplex with a lexicographic warm start: a
-two-phase primal simplex over ``{column: Fraction}`` rows with Bland's rule
-(lowest eligible index enters; ties on the ratio test leave by lowest basic
-variable index), which makes it deterministic and immune to cycling.  The
-secondary objective of ``solve_lexicographic`` continues from the primary
-optimal basis instead of solving a second, pinned problem.  An infeasible
-problem comes back with a Farkas certificate read off the final phase-1 cost
-row (the phase-1 duals), so there is one solve either way.  The brute-force
-vertex enumerator that serves as an independent oracle lives with the tests,
-in ``tests/oracles.py``.
+The solver is a sparse, fraction-free two-phase primal simplex.  Each row
+holds integer numerators ``{column: int}`` and an integer right-hand side
+over one positive denominator, kept in lowest terms; a pivot combines rows
+by integer multiplication and a gcd, and the ratio test compares by
+cross-multiplication.  ``Fraction`` appears only where rational input is
+scaled to integer rows and where the valuation, the objective and the
+certificate are read off.  Bland's rule (lowest eligible index enters; ties
+on the ratio test leave by lowest basic variable index) makes the pivots
+deterministic and immune to cycling; they are exactly the pivots of the
+``{column: Fraction}`` simplex this solver replaced, which is kept as a
+reference in ``tests/oracles.py``.  The secondary objective of
+``solve_lexicographic`` continues from the primary optimal basis instead of
+solving a second, pinned problem.  An infeasible problem comes back with a
+Farkas certificate read off the final phase-1 cost row (the phase-1 duals),
+so there is one solve either way.  The brute-force vertex enumerator that
+serves as an independent oracle also lives with the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .resources import ResourceExpr
+from .resources import ZERO, ResourceExpr
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -63,7 +70,7 @@ class LpSolution:
 
 def _expr_row(expr: ResourceExpr, variables: Sequence[str]) -> tuple[Fraction, ...]:
     coeffs = expr.coeff_map()
-    return tuple(coeffs.get(v, Fraction(0)) for v in variables)
+    return tuple(coeffs.get(v, ZERO) for v in variables)
 
 
 def problem_from_constraints(
@@ -116,79 +123,114 @@ def lp_dump(p: LpProblem) -> str:
 # simplex
 
 
-class _Tableau:
-    """Sparse simplex tableau: each row is a ``{column: nonzero Fraction}``
-    dict with its right-hand side kept apart, so a pivot touches only the
-    rows with a nonzero in the entering column and only the nonzero entries
-    of the pivot row.  Reduced-cost rows are dicts of the same form."""
+@dataclass(slots=True)
+class _Row:
+    """``nums . x = rhs`` scaled by ``1 / den``: integer numerators
+    ``{column: nonzero int}`` and an integer right-hand side over one positive
+    denominator, kept in lowest terms.  A reduced-cost row has the same form,
+    its right-hand side being minus the current objective value."""
 
-    def __init__(self, rows: list[dict], rhs: list[Fraction], basis: list[int]):
+    nums: dict
+    rhs: int
+    den: int
+
+    @staticmethod
+    def scaled(coeffs: Mapping[int, Fraction], rhs: Fraction = ZERO) -> "_Row":
+        """The row of rational ``coeffs`` and ``rhs`` (``Fraction`` or ``int``)
+        over the lcm of their denominators."""
+        den = math.lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
+        nums = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items()}
+        return _Row(nums, rhs.numerator * (den // rhs.denominator), den)
+
+    def reduce(self) -> None:
+        g = math.gcd(self.den, self.rhs, *self.nums.values())
+        if g != 1:
+            self.nums = {k: v // g for k, v in self.nums.items()}
+            self.rhs //= g
+            self.den //= g
+
+    def eliminate(self, f: int, row: "_Row") -> None:
+        """Subtract ``f / den`` times ``row`` (``f`` is this row's numerator in
+        ``row``'s pivot column, where ``row`` holds 1): the result is
+        ``(nums*row.den - f*row.nums) / (den*row.den)``, in lowest terms."""
+        d = row.den
+        nums = {k: v * d for k, v in self.nums.items()} if d != 1 else self.nums
+        for k, v in row.nums.items():
+            t = nums.get(k, 0) - f * v
+            if t:
+                nums[k] = t
+            else:
+                del nums[k]
+        self.nums = nums
+        self.rhs = self.rhs * d - f * row.rhs
+        self.den *= d
+        if self.den != 1:
+            self.reduce()
+
+
+class _Tableau:
+    """Sparse fraction-free simplex tableau: a pivot touches only the rows
+    with a nonzero in the entering column and only the nonzero entries of
+    the pivot row, and every entry stays an integer.  The signs and ratios
+    Bland's rule reads are those of the rational tableau the rows scale."""
+
+    def __init__(self, rows: list[_Row], basis: list[int]):
         self.rows = rows
-        self.rhs = rhs
         self.basis = basis
         self.pivots = 0
 
-    def cost_row(self, cost: Mapping[int, Fraction]) -> dict:
+    def cost_row(self, cost: Mapping[int, Fraction]) -> _Row:
         """Reduced costs of ``cost`` on the current basis."""
-        z = dict(cost)
+        z = _Row.scaled(cost)
         for row, b in zip(self.rows, self.basis):
-            f = cost.get(b)
+            f = z.nums.get(b)
             if f:
-                _eliminate(z, f, row)
+                z.eliminate(f, row)
         return z
 
-    def pivot(self, r: int, c: int, z: Optional[dict] = None) -> None:
+    def pivot(self, r: int, c: int, z: Optional[_Row] = None) -> None:
         row = self.rows[r]
-        piv = row[c]
-        if piv != 1:
-            for k in row:
-                row[k] /= piv
-            self.rhs[r] /= piv
-        b = self.rhs[r]
+        p = row.nums[c]
+        # divide by p / den: the numerators over |p|, sign normalised
+        if p < 0:
+            row.nums = {k: -v for k, v in row.nums.items()}
+            row.rhs = -row.rhs
+            p = -p
+        row.den = p
+        row.reduce()
         for i, other in enumerate(self.rows):
-            f = other.get(c)
+            f = other.nums.get(c)
             if f is not None and i != r:
-                _eliminate(other, f, row)
-                self.rhs[i] -= f * b
-        if z is not None and c in z:
-            _eliminate(z, z[c], row)
+                other.eliminate(f, row)
+        if z is not None and c in z.nums:
+            z.eliminate(z.nums[c], row)
         self.basis[r] = c
         self.pivots += 1
 
-    def bland(self, z: dict, barred: frozenset = frozenset()) -> str:
+    def bland(self, z: _Row, barred: frozenset = frozenset()) -> str:
         """Simplex iterations until optimal or unbounded: the lowest-index
         column with a negative reduced cost enters (``barred`` columns never
         do); ratio ties leave by the lowest basic index."""
-        rows, rhs, basis = self.rows, self.rhs, self.basis
+        rows, basis = self.rows, self.basis
         while True:
-            enter = min((j for j, d in z.items() if d < 0 and j not in barred), default=None)
+            enter = min((j for j, d in z.nums.items() if d < 0 and j not in barred), default=None)
             if enter is None:
                 return OPTIMAL
+            # the ratio rhs_i / a_i is the same over every row's own
+            # denominator, so it compares by cross-multiplication
             leave = None
-            best = None
             for i, row in enumerate(rows):
-                a = row.get(enter)
+                a = row.nums.get(enter)
                 if a is not None and a > 0:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+                    if leave is None:
+                        leave, b, best = i, row.rhs, a
+                        continue
+                    lhs, rhs = row.rhs * best, b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, b, best = i, row.rhs, a
             if leave is None:
                 return UNBOUNDED
             self.pivot(leave, enter, z)
-
-
-def _eliminate(target: dict, f: Fraction, row: dict) -> None:
-    """target -= f * row, dropping entries that cancel to zero."""
-    for k, v in row.items():
-        t = target.get(k)
-        if t is None:
-            target[k] = -f * v
-        else:
-            t -= f * v
-            if t:
-                target[k] = t
-            else:
-                del target[k]
 
 
 def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSolution:
@@ -207,74 +249,64 @@ def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSol
     m = len(p.rows)
     # columns: structural | one slack per row | one artificial per row that needs it
     width = n + m
-    rows: list[dict] = []
-    rhs: list[Fraction] = []
+    rows: list[_Row] = []
     basis: list[int] = []
     n_art = 0
     for i, (coeffs, bound) in enumerate(p.rows):
-        row = {j: Fraction(c) for j, c in enumerate(coeffs) if c != 0}
+        row = _Row.scaled({j: c for j, c in enumerate(coeffs) if c}, bound)
         if bound <= 0:
             # flip to  -coeffs . y <= -bound  with a basic slack
-            row = {j: -v for j, v in row.items()}
-            row[n + i] = Fraction(1)
+            row.nums = {j: -v for j, v in row.nums.items()}
+            row.rhs = -row.rhs
+            row.nums[n + i] = row.den
             basis.append(n + i)
-            rhs.append(Fraction(-bound))
         else:
-            row[n + i] = Fraction(-1)  # surplus
-            row[width + n_art] = Fraction(1)
+            row.nums[n + i] = -row.den  # surplus
+            row.nums[width + n_art] = row.den
             basis.append(width + n_art)
-            rhs.append(Fraction(bound))
             n_art += 1
         rows.append(row)
-    t = _Tableau(rows, rhs, basis)
+    t = _Tableau(rows, basis)
 
     if n_art:
-        z1 = t.cost_row({width + k: Fraction(1) for k in range(n_art)})
+        z1 = t.cost_row({width + k: 1 for k in range(n_art)})
         status = t.bland(z1)
         assert status == OPTIMAL  # phase 1 is bounded below by 0
-        if sum(rhs[i] for i, b in enumerate(basis) if b >= width) > 0:
+        if z1.rhs < 0:  # minus the phase-1 optimum, the artificials' total
             # row i's multiplier, flipped or not, is the reduced cost of column n + i
-            cert = tuple(z1.get(n + i, Fraction(0)) for i in range(m))
+            cert = tuple(Fraction(z1.nums.get(n + i, 0), z1.den) for i in range(m))
             return LpSolution(INFEASIBLE, certificate=cert, pivots=t.pivots)
         # drive leftover artificials out of the basis, dropping redundant rows
         keep = []
         for i in range(len(rows)):
             if basis[i] >= width:
-                col = min((j for j in rows[i] if j < width), default=None)
+                col = min((j for j in rows[i].nums if j < width), default=None)
                 if col is None:
                     continue  # 0 = 0 row
                 t.pivot(i, col)
             keep.append(i)
-        t.rows = [{j: v for j, v in rows[i].items() if j < width} for i in keep]
-        t.rhs = [rhs[i] for i in keep]
+        for i in keep:
+            rows[i].nums = {j: v for j, v in rows[i].nums.items() if j < width}
+        t.rows = [rows[i] for i in keep]
         t.basis = [basis[i] for i in keep]
 
     barred: frozenset = frozenset()
     for cost in (p.objective, secondary):
         if cost is None:
             continue
-        z = t.cost_row({j: Fraction(c) for j, c in enumerate(cost) if c != 0})
+        z = t.cost_row({j: c for j, c in enumerate(cost) if c})
         if t.bland(z, barred) == UNBOUNDED:
             return LpSolution(UNBOUNDED, pivots=t.pivots)
         # objective = optimum + sum(d_j * x_j) on every feasible point, so the
         # optimal face is x_j = 0 wherever d_j > 0; later pivots enter only
         # columns with d_j = 0, which leave these reduced costs unchanged
-        barred = barred | {j for j, d in z.items() if d > 0}
+        barred = barred | {j for j, d in z.nums.items() if d > 0}
     valuation = {v: Fraction(0) for v in p.variables}
-    for b, x in zip(t.basis, t.rhs):
+    for b, row in zip(t.basis, t.rows):
         if b < n:
-            valuation[p.variables[b]] = x
+            valuation[p.variables[b]] = Fraction(row.rhs, row.den)
     value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
     return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
-
-
-def verify_certificate(p: LpProblem, cert: Sequence[Fraction]) -> bool:
-    if len(cert) != len(p.rows) or any(c < 0 for c in cert):
-        return False
-    for j in range(len(p.variables)):
-        if sum(cert[i] * p.rows[i][0][j] for i in range(len(p.rows))) > 0:
-            return False
-    return sum(cert[i] * p.rows[i][1] for i in range(len(p.rows))) > 0
 
 
 # ---------------------------------------------------------------------------

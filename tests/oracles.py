@@ -4,7 +4,11 @@
 solves every square subsystem of the constraints and keeps the best feasible
 point.  `pinned_lexicographic` is the two-solve formulation of the
 lexicographic objective: solve for the primary objective, then solve again
-with a row pinning the primary optimum.  `model_check` and `goal_holds` are
+with a row pinning the primary optimum.  `reference_solve` is the
+`{column: Fraction}` simplex that `amort.lp.solve` replaced: the same Bland
+pivots over rational rows, so the two must agree exactly, pivot count
+included.  `verify_certificate` checks a Farkas certificate against its
+problem.  `model_check` and `goal_holds` are
 a bounded model checker for assertions and goals: they decide truth in a
 small concrete heap by enumeration, independently of the prover.
 `reference_run` is the pure small-step interpreter: every step returns a
@@ -49,7 +53,15 @@ from amort.assertions import (
     is_literal,
 )
 from amort.bytecode import Instr, Program
-from amort.lp import INFEASIBLE, OPTIMAL, LpProblem, LpSolution, problem_from_constraints, solve
+from amort.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LpProblem,
+    LpSolution,
+    problem_from_constraints,
+    solve,
+)
 from amort.resources import ZERO, ResourceValue, res_of_int
 from amort import vm
 from amort.vm import (
@@ -170,6 +182,172 @@ def pinned_lexicographic(
     s2 = solve(LpProblem(p2.variables, rows, p2.objective))
     assert s2.optimal  # s1's solution is feasible for p2
     return LpSolution(OPTIMAL, s2.valuation, s1.objective)
+
+
+# ---------------------------------------------------------------------------
+# the {column: Fraction} simplex (test oracle)
+
+
+class _Tableau:
+    """Sparse simplex tableau: each row is a ``{column: nonzero Fraction}``
+    dict with its right-hand side kept apart, so a pivot touches only the
+    rows with a nonzero in the entering column and only the nonzero entries
+    of the pivot row.  Reduced-cost rows are dicts of the same form."""
+
+    def __init__(self, rows: list[dict], rhs: list[Fraction], basis: list[int]):
+        self.rows = rows
+        self.rhs = rhs
+        self.basis = basis
+        self.pivots = 0
+
+    def cost_row(self, cost: Mapping[int, Fraction]) -> dict:
+        """Reduced costs of ``cost`` on the current basis."""
+        z = dict(cost)
+        for row, b in zip(self.rows, self.basis):
+            f = cost.get(b)
+            if f:
+                _eliminate(z, f, row)
+        return z
+
+    def pivot(self, r: int, c: int, z: Optional[dict] = None) -> None:
+        row = self.rows[r]
+        piv = row[c]
+        if piv != 1:
+            for k in row:
+                row[k] /= piv
+            self.rhs[r] /= piv
+        b = self.rhs[r]
+        for i, other in enumerate(self.rows):
+            f = other.get(c)
+            if f is not None and i != r:
+                _eliminate(other, f, row)
+                self.rhs[i] -= f * b
+        if z is not None and c in z:
+            _eliminate(z, z[c], row)
+        self.basis[r] = c
+        self.pivots += 1
+
+    def bland(self, z: dict, barred: frozenset = frozenset()) -> str:
+        """Simplex iterations until optimal or unbounded: the lowest-index
+        column with a negative reduced cost enters (``barred`` columns never
+        do); ratio ties leave by the lowest basic index."""
+        rows, rhs, basis = self.rows, self.rhs, self.basis
+        while True:
+            enter = min((j for j, d in z.items() if d < 0 and j not in barred), default=None)
+            if enter is None:
+                return OPTIMAL
+            leave = None
+            best = None
+            for i, row in enumerate(rows):
+                a = row.get(enter)
+                if a is not None and a > 0:
+                    ratio = rhs[i] / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best, leave = ratio, i
+            if leave is None:
+                return UNBOUNDED
+            self.pivot(leave, enter, z)
+
+
+def _eliminate(target: dict, f: Fraction, row: dict) -> None:
+    """target -= f * row, dropping entries that cancel to zero."""
+    for k, v in row.items():
+        t = target.get(k)
+        if t is None:
+            target[k] = -f * v
+        else:
+            t -= f * v
+            if t:
+                target[k] = t
+            else:
+                del target[k]
+
+
+def reference_solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSolution:
+    """Two-phase simplex.  Optimal solutions satisfy every row exactly;
+    infeasible problems come back with Farkas multipliers y >= 0 such that
+    y.A <= 0 componentwise yet y.b > 0.  These are the phase-1 duals: the
+    final reduced costs of the slack and surplus columns, whose structural
+    reduced costs give y.A <= 0 and whose y.b is the positive phase-1 optimum.
+
+    With ``secondary`` (one coefficient per variable) the optimum is
+    lexicographic: once ``p.objective`` is optimal, every column with a
+    positive reduced cost is barred from entry, which confines the search to
+    the primary optimal face, and Bland's rule continues from the same basis
+    on the secondary cost row.  The reported objective is the primary one."""
+    n = len(p.variables)
+    m = len(p.rows)
+    # columns: structural | one slack per row | one artificial per row that needs it
+    width = n + m
+    rows: list[dict] = []
+    rhs: list[Fraction] = []
+    basis: list[int] = []
+    n_art = 0
+    for i, (coeffs, bound) in enumerate(p.rows):
+        row = {j: Fraction(c) for j, c in enumerate(coeffs) if c != 0}
+        if bound <= 0:
+            # flip to  -coeffs . y <= -bound  with a basic slack
+            row = {j: -v for j, v in row.items()}
+            row[n + i] = Fraction(1)
+            basis.append(n + i)
+            rhs.append(Fraction(-bound))
+        else:
+            row[n + i] = Fraction(-1)  # surplus
+            row[width + n_art] = Fraction(1)
+            basis.append(width + n_art)
+            rhs.append(Fraction(bound))
+            n_art += 1
+        rows.append(row)
+    t = _Tableau(rows, rhs, basis)
+
+    if n_art:
+        z1 = t.cost_row({width + k: Fraction(1) for k in range(n_art)})
+        status = t.bland(z1)
+        assert status == OPTIMAL  # phase 1 is bounded below by 0
+        if sum(rhs[i] for i, b in enumerate(basis) if b >= width) > 0:
+            # row i's multiplier, flipped or not, is the reduced cost of column n + i
+            cert = tuple(z1.get(n + i, Fraction(0)) for i in range(m))
+            return LpSolution(INFEASIBLE, certificate=cert, pivots=t.pivots)
+        # drive leftover artificials out of the basis, dropping redundant rows
+        keep = []
+        for i in range(len(rows)):
+            if basis[i] >= width:
+                col = min((j for j in rows[i] if j < width), default=None)
+                if col is None:
+                    continue  # 0 = 0 row
+                t.pivot(i, col)
+            keep.append(i)
+        t.rows = [{j: v for j, v in rows[i].items() if j < width} for i in keep]
+        t.rhs = [rhs[i] for i in keep]
+        t.basis = [basis[i] for i in keep]
+
+    barred: frozenset = frozenset()
+    for cost in (p.objective, secondary):
+        if cost is None:
+            continue
+        z = t.cost_row({j: Fraction(c) for j, c in enumerate(cost) if c != 0})
+        if t.bland(z, barred) == UNBOUNDED:
+            return LpSolution(UNBOUNDED, pivots=t.pivots)
+        # objective = optimum + sum(d_j * x_j) on every feasible point, so the
+        # optimal face is x_j = 0 wherever d_j > 0; later pivots enter only
+        # columns with d_j = 0, which leave these reduced costs unchanged
+        barred = barred | {j for j, d in z.items() if d > 0}
+    valuation = {v: Fraction(0) for v in p.variables}
+    for b, x in zip(t.basis, t.rhs):
+        if b < n:
+            valuation[p.variables[b]] = x
+    value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
+    return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
+
+
+def verify_certificate(p: LpProblem, cert: Sequence[Fraction]) -> bool:
+    """``cert >= 0`` with ``cert . A <= 0`` componentwise and ``cert . b > 0``."""
+    if len(cert) != len(p.rows) or any(c < 0 for c in cert):
+        return False
+    for j in range(len(p.variables)):
+        if sum(cert[i] * p.rows[i][0][j] for i in range(len(p.rows))) > 0:
+            return False
+    return sum(cert[i] * p.rows[i][1] for i in range(len(p.rows))) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,23 +22,45 @@ class TestAnalyze:
 
     def test_json_report(self, capsys):
         assert run_cli("analyze", "iterate_list", "--json", "-") == cli.EXIT_OK
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("{") :])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["entry"] == "iterate"
         assert payload["valuation"]["x"] == "1"
         assert all(vc["ok"] for vc in payload["vcs"])
 
+    def test_json_is_all_of_stdout(self, capsys):
+        # the text report moves to stderr, so stdout parses as one document
+        code = run_cli(
+            "analyze", "merge_inner", "--emit-vcs", "--emit-constraints", "--lp-dump", "--json", "-"
+        )
+        assert code == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["entry"] == "mergeInner"
+        assert "valuation: " in captured.err and "min: " in captured.err
+
+    # simplex pivots per analysable corpus program; the count is
+    # machine-independent and pins the pivots Bland's rule takes
+    LP_PIVOTS = {
+        "copy_list": 4,
+        "frying_pan": 32,
+        "iterate_list": 5,
+        "iterate_recursive": 4,
+        "merge_inner": 43,
+        "queue": 23,
+        "reverse": 5,
+        "tree_copy": 6,
+        "tree_mirror": 5,
+        "tree_traverse": 6,
+    }
+
     def test_json_reports_lp_pivots(self, capsys):
-        # the count is machine-independent: it repeats exactly, and the
-        # lexicographic warm start needs fewer pivots than the 88 that two
-        # from-scratch solves took on merge_inner
-        counts = []
-        for _ in range(2):
-            assert run_cli("analyze", "merge_inner", "--json", "-") == cli.EXIT_OK
-            out = capsys.readouterr().out
-            counts.append(json.loads(out[out.index("\n{") :])["stats"]["lp_pivots"])
-        assert counts[0] == counts[1]
-        assert 0 < counts[0] < 88
+        # the count repeats exactly from run to run
+        counts = {}
+        for name in self.LP_PIVOTS:
+            for _ in range(2):
+                assert run_cli("analyze", name, "--json", "-") == cli.EXIT_OK
+                payload = json.loads(capsys.readouterr().out)
+                counts.setdefault(name, []).append(payload["stats"]["lp_pivots"])
+        assert counts == {name: [n, n] for name, n in self.LP_PIVOTS.items()}
 
     # prover ticks (units of the work budget) per analysable corpus program;
     # the count is machine-independent and pins the order of the search
@@ -58,8 +80,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("name", sorted(PROVER_TICKS))
     def test_json_reports_prover_ticks(self, name, capsys):
         assert run_cli("analyze", name, "--json", "-") == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert json.loads(out[out.index("\n{") :])["stats"]["prover_ticks"] == self.PROVER_TICKS[name]
+        assert json.loads(capsys.readouterr().out)["stats"]["prover_ticks"] == self.PROVER_TICKS[name]
 
     def test_emit_constraints_shows_rows(self, capsys):
         assert run_cli("analyze", "iterate_list", "--emit-constraints") == cli.EXIT_OK

@@ -8,16 +8,22 @@ import pytest
 from amort.lp import (
     INFEASIBLE,
     OPTIMAL,
+    UNBOUNDED,
     LpProblem,
     lp_dump,
     problem_from_constraints,
     solve,
     solve_lexicographic,
-    verify_certificate,
 )
 from amort.prover import Constraint
 from amort.resources import ResourceExpr
-from oracles import LpSizeError, enumerate_vertices_oracle, pinned_lexicographic
+from oracles import (
+    LpSizeError,
+    enumerate_vertices_oracle,
+    pinned_lexicographic,
+    reference_solve,
+    verify_certificate,
+)
 
 F = Fraction
 V = ResourceExpr.var
@@ -200,3 +206,32 @@ class TestLexicographic:
             assert secondary(got) == secondary(want), msg
             for c in cons:
                 assert c.lhs.eval(got.valuation) >= c.rhs.eval(got.valuation), msg
+
+
+class TestReferenceSolver:
+    def test_pivot_for_pivot_agreement(self):
+        # the integer tableau must take the rational tableau's pivots: same
+        # status, valuation, objective, certificate and pivot count.  Rows
+        # have denominators 1-3, zero and negative right-hand sides and
+        # duplicates (ratio ties); half the trials add a secondary objective
+        rng = random.Random(7)
+        denominators = [1, 1, 2, 3]
+        statuses = set()
+        for trial in range(3000):
+            n = rng.randint(1, 6)
+            m = rng.randint(1, 9)
+            rows = []
+            for _ in range(m):
+                coeffs = [F(rng.randint(-3, 3), rng.choice(denominators)) for _ in range(n)]
+                rows.append((coeffs, F(rng.randint(-3, 4), rng.choice(denominators))))
+                if rng.random() < 0.25:
+                    rows.append(rows[rng.randrange(len(rows))])
+            obj = [F(rng.randint(-1, 3), rng.choice(denominators)) for _ in range(n)]
+            p = problem([f"v{i}" for i in range(n)], rows, obj)
+            secondary = None
+            if trial % 2:
+                secondary = tuple(F(rng.randint(0, 2), rng.choice(denominators)) for _ in range(n))
+            got = solve(p, secondary)
+            assert got == reference_solve(p, secondary), f"trial {trial}: {lp_dump(p)} {secondary}"
+            statuses.add(got.status)
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
