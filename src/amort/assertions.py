@@ -82,11 +82,42 @@ class PointsTo:
         return f"pt({self.obj}, {self.field}, {self.value})"
 
 
+# field names the inductive predicates are defined over
+LSEG_NEXT = "next"
+LSEG_DATA = "data"
+TREE_LEFT = "left"
+TREE_RIGHT = "right"
+
+# Each inductive predicate declares its shape once, and the prover derives
+# unfolding and matching from it.  An instance is empty when its ``head``
+# equals its ``stop``; otherwise its head is a node: one cell per entry of
+# ``FIELDS`` (the field, and the base of the fresh name for its value), the
+# ``children`` instances over those values, and one ``ann`` of resource.
+# ``absorbed(seg)`` is what remains of an instance once a context instance
+# ``seg`` of the same predicate at the same head has covered a prefix of it.
+
+
 @dataclass(frozen=True)
 class ListSeg:
     ann: ResourceExpr
     start: Term
     end: Term
+
+    FIELDS = ((LSEG_NEXT, "n"), (LSEG_DATA, "d"))
+
+    @property
+    def head(self) -> Term:
+        return self.start
+
+    @property
+    def stop(self) -> Term:
+        return self.end
+
+    def children(self, nxt: Term, data: Term) -> tuple:
+        return (ListSeg(self.ann, nxt, self.end),)
+
+    def absorbed(self, seg: "ListSeg") -> tuple:
+        return (ListSeg(self.ann, seg.end, self.end),)
 
     def __str__(self) -> str:
         return f"lseg({self.ann}, {self.start}, {self.end})"
@@ -94,20 +125,29 @@ class ListSeg:
 
 @dataclass(frozen=True)
 class TreeSeg:
+    """A tree is a segment that stops at ``null``."""
+
     ann: ResourceExpr
     root: Term
+
+    FIELDS = ((TREE_LEFT, "l"), (TREE_RIGHT, "r"))
+    stop = NULL
+
+    @property
+    def head(self) -> Term:
+        return self.root
+
+    def children(self, left: Term, right: Term) -> tuple:
+        return (TreeSeg(self.ann, left), TreeSeg(self.ann, right))
+
+    def absorbed(self, seg: "TreeSeg") -> tuple:
+        return ()
 
     def __str__(self) -> str:
         return f"tree({self.ann}, {self.root})"
 
 
 HeapAtom = object  # PointsTo | ListSeg | TreeSeg
-
-# field names the inductive predicates are defined over
-LSEG_NEXT = "next"
-LSEG_DATA = "data"
-TREE_LEFT = "left"
-TREE_RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -209,28 +249,39 @@ class Exists(Goal):
 # free variables and substitution
 
 
+def atom_terms(a) -> tuple:
+    """The terms of a pure or heap atom, in field order."""
+    if isinstance(a, PointsTo):
+        return (a.obj, a.value)
+    if isinstance(a, ListSeg):
+        return (a.start, a.end)
+    if isinstance(a, TreeSeg):
+        return (a.root,)
+    if isinstance(a, PureAtom):
+        return (a.lhs, a.rhs)
+    raise TypeError(a)
+
+
+def map_atom(a, f, arg):
+    """``a`` with each term ``t`` replaced by ``f(t, arg)``; ``f`` takes its
+    mapping as ``arg`` so that the walk needs no closure call per term."""
+    if isinstance(a, PointsTo):
+        return PointsTo(f(a.obj, arg), a.field, f(a.value, arg))
+    if isinstance(a, ListSeg):
+        return ListSeg(a.ann, f(a.start, arg), f(a.end, arg))
+    if isinstance(a, TreeSeg):
+        return TreeSeg(a.ann, f(a.root, arg))
+    if isinstance(a, PureAtom):
+        return PureAtom(f(a.lhs, arg), a.op, f(a.rhs, arg))
+    raise TypeError(a)
+
+
 def term_vars(t: Term) -> set[str]:
     return {t.name} if isinstance(t, Var) else set()
 
 
-def atom_vars(a) -> set[str]:
-    if isinstance(a, PureAtom):
-        return term_vars(a.lhs) | term_vars(a.rhs)
-    if isinstance(a, PointsTo):
-        return term_vars(a.obj) | term_vars(a.value)
-    if isinstance(a, ListSeg):
-        return term_vars(a.start) | term_vars(a.end)
-    if isinstance(a, TreeSeg):
-        return term_vars(a.root)
-    raise TypeError(a)
-
-
 def clause_free_vars(c: Clause) -> set[str]:
-    out: set[str] = set()
-    for a in c.pure:
-        out |= atom_vars(a)
-    for a in c.heap:
-        out |= atom_vars(a)
+    out = {t.name for a in c.pure + c.heap for t in atom_terms(a) if isinstance(t, Var)}
     return out - set(c.exists)
 
 
@@ -249,7 +300,7 @@ def goal_free_vars(g: Goal) -> set[str]:
     if isinstance(g, And):
         return goal_free_vars(g.left) | goal_free_vars(g.right)
     if isinstance(g, Implies):
-        return atom_vars(g.cond) | goal_free_vars(g.rest)
+        return {t.name for t in atom_terms(g.cond) if isinstance(t, Var)} | goal_free_vars(g.rest)
     if isinstance(g, (Forall, Exists)):
         return goal_free_vars(g.rest) - {g.var}
     raise TypeError(g)
@@ -259,18 +310,6 @@ def subst_term(t: Term, sub: Mapping[str, Term]) -> Term:
     if isinstance(t, Var) and t.name in sub:
         return sub[t.name]
     return t
-
-
-def subst_atom(a, sub: Mapping[str, Term]):
-    if isinstance(a, PureAtom):
-        return PureAtom(subst_term(a.lhs, sub), a.op, subst_term(a.rhs, sub))
-    if isinstance(a, PointsTo):
-        return PointsTo(subst_term(a.obj, sub), a.field, subst_term(a.value, sub))
-    if isinstance(a, ListSeg):
-        return ListSeg(a.ann, subst_term(a.start, sub), subst_term(a.end, sub))
-    if isinstance(a, TreeSeg):
-        return TreeSeg(a.ann, subst_term(a.root, sub))
-    raise TypeError(a)
 
 
 def _fresh_name(base: str, avoid: set[str]) -> str:
@@ -300,14 +339,14 @@ def subst_clause(c: Clause, sub: Mapping[str, Term]) -> Clause:
                 exists[i] = fresh
         c = Clause(
             tuple(exists),
-            tuple(subst_atom(a, rename) for a in c.pure),
-            tuple(subst_atom(a, rename) for a in c.heap),
+            tuple(map_atom(a, subst_term, rename) for a in c.pure),
+            tuple(map_atom(a, subst_term, rename) for a in c.heap),
             c.resource,
         )
     return Clause(
         c.exists,
-        tuple(subst_atom(a, live) for a in c.pure),
-        tuple(subst_atom(a, live) for a in c.heap),
+        tuple(map_atom(a, subst_term, live) for a in c.pure),
+        tuple(map_atom(a, subst_term, live) for a in c.heap),
         c.resource,
     )
 
@@ -328,7 +367,7 @@ def subst_goal(g: Goal, sub: Mapping[str, Term]) -> Goal:
     if isinstance(g, And):
         return And(subst_goal(g.left, sub), subst_goal(g.right, sub))
     if isinstance(g, Implies):
-        return Implies(subst_atom(g.cond, sub), subst_goal(g.rest, sub))
+        return Implies(map_atom(g.cond, subst_term, sub), subst_goal(g.rest, sub))
     if isinstance(g, (Forall, Exists)):
         live = {k: v for k, v in sub.items() if k != g.var}
         if not live:

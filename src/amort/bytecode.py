@@ -64,10 +64,6 @@ class FieldDescriptor:
         return "{" + ", ".join(f"{n}:{t}" for n, t in self.entries) + "}"
 
 
-LIST_DESC = FieldDescriptor((("data", INT), ("next", REF)))
-TREE_DESC = FieldDescriptor((("left", REF), ("right", REF)))
-
-
 @dataclass(frozen=True)
 class Instr:
     op: str

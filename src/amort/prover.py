@@ -11,10 +11,14 @@ Search structure:
 
 * ``saturate`` moves information between the pure and spatial parts of a
   context: cells imply non-nullness and pairwise distinctness of their
-  addresses, and list segments whose head pointer is decided by the pure
-  facts get unfolded (possibly splitting the context into case branches).
+  addresses, and inductive predicates (list segments, trees) whose head is
+  decided by the pure facts get unfolded (possibly splitting the context
+  into case branches).
 * matching covers each heap atom demanded by a goal clause using a cell or
-  segment from the context, paying per-element resource along the way.
+  predicate instance from the context, paying per-node resource along the
+  way.  Both steps read each predicate's shape (its head, stop, node fields
+  and children) from :mod:`amort.assertions`, so one set of rules serves
+  every predicate.
 * goal dispatch walks the goal connectives, backtracking over disjunct and
   instantiation choices.
 
@@ -38,19 +42,15 @@ from .assertions import (
     Goal,
     Implies,
     Leaf,
-    ListSeg,
-    LSEG_DATA,
-    LSEG_NEXT,
     PointsTo,
     PureAtom,
     PureContext,
     Star,
     Term,
-    TREE_LEFT,
-    TREE_RIGHT,
-    TreeSeg,
     Var,
     Wand,
+    atom_terms,
+    map_atom,
     subst_clause,
     subst_goal,
 )
@@ -119,25 +119,11 @@ def resolve(t: Term, theta: Mapping) -> Term:
     return t
 
 
-def _resolve_heap_atom(a, theta):
-    if isinstance(a, PointsTo):
-        return PointsTo(resolve(a.obj, theta), a.field, resolve(a.value, theta))
-    if isinstance(a, ListSeg):
-        return ListSeg(a.ann, resolve(a.start, theta), resolve(a.end, theta))
-    if isinstance(a, TreeSeg):
-        return TreeSeg(a.ann, resolve(a.root, theta))
-    raise TypeError(a)
-
-
-def _resolve_pure_atom(a: PureAtom, theta) -> PureAtom:
-    return PureAtom(resolve(a.lhs, theta), a.op, resolve(a.rhs, theta))
-
-
 def _resolve_clause(c: Clause, theta) -> Clause:
     return Clause(
         c.exists,
-        tuple(_resolve_pure_atom(a, theta) for a in c.pure),
-        tuple(_resolve_heap_atom(a, theta) for a in c.heap),
+        tuple(map_atom(a, resolve, theta) for a in c.pure),
+        tuple(map_atom(a, resolve, theta) for a in c.heap),
         c.resource,
     )
 
@@ -160,29 +146,12 @@ def _resolve_goal(g: Goal, theta) -> Goal:
     if isinstance(g, And):
         return And(_resolve_goal(g.left, theta), _resolve_goal(g.right, theta))
     if isinstance(g, Implies):
-        return Implies(_resolve_pure_atom(g.cond, theta), _resolve_goal(g.rest, theta))
+        return Implies(map_atom(g.cond, resolve, theta), _resolve_goal(g.rest, theta))
     if isinstance(g, Forall):
         return Forall(g.var, _resolve_goal(g.rest, theta))
     if isinstance(g, Exists):
         return Exists(g.var, _resolve_goal(g.rest, theta))
     raise TypeError(g)
-
-
-def _term_evars(t: Term, theta) -> set:
-    t = resolve(t, theta)
-    return {t} if isinstance(t, EVar) else set()
-
-
-def _atom_evars(a, theta) -> set:
-    if isinstance(a, PureAtom):
-        return _term_evars(a.lhs, theta) | _term_evars(a.rhs, theta)
-    if isinstance(a, PointsTo):
-        return _term_evars(a.obj, theta) | _term_evars(a.value, theta)
-    if isinstance(a, ListSeg):
-        return _term_evars(a.start, theta) | _term_evars(a.end, theta)
-    if isinstance(a, TreeSeg):
-        return _term_evars(a.root, theta)
-    raise TypeError(a)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +399,8 @@ class Prover:
         reps = set()
         pc = ctx.pc
         pool = [NULL]
-        for a in ctx.pure:
-            pool.extend((a.lhs, a.rhs))
-        for a in ctx.heap:
-            if isinstance(a, PointsTo):
-                pool.extend((a.obj, a.value))
-            elif isinstance(a, ListSeg):
-                pool.extend((a.start, a.end))
-            elif isinstance(a, TreeSeg):
-                pool.append(a.root)
+        for a in ctx.pure + ctx.heap:
+            pool.extend(atom_terms(a))
         for t in pool:
             if isinstance(t, EVar):
                 continue
@@ -496,59 +458,34 @@ class Prover:
         to requeue, or None when the context is fully saturated."""
         pc = ctx.pc
         for i, atom in enumerate(ctx.heap):
-            if isinstance(atom, ListSeg):
-                rest = ctx.without_atom(i)
-                if pc.equal(atom.start, atom.end):
-                    return [ctx.updated(heap=rest)]
-                if pc.equal(atom.start, NULL):
-                    eq = PureAtom(atom.end, "=", NULL)
-                    return [ctx.updated(pure=ctx.pure + (eq,), heap=rest)]
-                if pc.unequal(atom.start, atom.end):
-                    # a segment with distinct endpoints must be non-empty,
-                    # whether or not the head's null-ness is known yet
-                    return [self._unfold_lseg_cons(ctx, i)]
-                if pc.unequal(atom.start, NULL):
-                    cons = self._unfold_lseg_cons(ctx, i)
-                    empty = ctx.updated(
-                        pure=ctx.pure + (PureAtom(atom.start, "=", atom.end),),
-                        heap=rest,
-                    )
-                    return [empty, cons]
-            elif isinstance(atom, TreeSeg):
-                rest = ctx.without_atom(i)
-                if pc.equal(atom.root, NULL):
-                    return [ctx.updated(heap=rest)]
-                if pc.unequal(atom.root, NULL):
-                    return [self._unfold_tree_cons(ctx, i)]
+            if isinstance(atom, PointsTo):
+                continue
+            head, stop = atom.head, atom.stop
+            rest = ctx.without_atom(i)
+            if pc.equal(head, stop):
+                return [ctx.updated(heap=rest)]
+            if pc.equal(head, NULL):
+                eq = PureAtom(stop, "=", NULL)
+                return [ctx.updated(pure=ctx.pure + (eq,), heap=rest)]
+            if pc.unequal(head, stop):
+                # an instance whose head is not its stop must be a node,
+                # whether or not the head's null-ness is known yet
+                return [self._unfold_cons(ctx, i)]
+            if pc.unequal(head, NULL):
+                cons = self._unfold_cons(ctx, i)
+                empty = ctx.updated(pure=ctx.pure + (PureAtom(head, "=", stop),), heap=rest)
+                return [empty, cons]
         return None
 
-    def _unfold_lseg_cons(self, ctx: ProofContext, i: int) -> ProofContext:
-        seg = ctx.heap[i]
-        nxt = Var(ctx.names.next("n"))
-        dat = Var(ctx.names.next("d"))
-        cells = (
-            PointsTo(seg.start, LSEG_NEXT, nxt),
-            PointsTo(seg.start, LSEG_DATA, dat),
-            ListSeg(seg.ann, nxt, seg.end),
-        )
+    def _unfold_cons(self, ctx: ProofContext, i: int) -> ProofContext:
+        """Unfold the instance ``ctx.heap[i]`` into its head node: one cell
+        per field, its children, and the node's resource."""
+        atom = ctx.heap[i]
+        values = [Var(ctx.names.next(base)) for _, base in atom.FIELDS]
+        cells = tuple(PointsTo(atom.head, f, v) for (f, _), v in zip(atom.FIELDS, values))
         return ctx.updated(
-            heap=ctx.without_atom(i) + cells,
-            resource=ctx.resource + seg.ann,
-        )
-
-    def _unfold_tree_cons(self, ctx: ProofContext, i: int) -> ProofContext:
-        seg = ctx.heap[i]
-        left = Var(ctx.names.next("l"))
-        right = Var(ctx.names.next("r"))
-        cells = (
-            PointsTo(seg.root, TREE_LEFT, left),
-            PointsTo(seg.root, TREE_RIGHT, right),
-            TreeSeg(seg.ann, left),
-            TreeSeg(seg.ann, right),
-        )
-        return ctx.updated(
-            heap=ctx.without_atom(i) + cells,
-            resource=ctx.resource + seg.ann,
+            heap=ctx.without_atom(i) + cells + atom.children(*values),
+            resource=ctx.resource + atom.ann,
         )
 
     # -- goal dispatch ----------------------------------------------------------
@@ -612,9 +549,7 @@ class Prover:
         # continuation must hold under each.
         cons: ConstraintSet = ()
         for clause in goal.parts:
-            evars = set()
-            for a in clause.pure + clause.heap:
-                evars |= _atom_evars(a, {})
+            evars = {t for a in clause.pure + clause.heap for t in atom_terms(a) if isinstance(t, EVar)}
             if evars:
                 names = ", ".join(sorted(str(e) for e in evars))
                 self._note_fail(depth, f"unresolved existential {names} entering context")
@@ -635,7 +570,7 @@ class Prover:
         return cons
 
     def _go_implies(self, ctx, goal: Implies, depth) -> Optional[ConstraintSet]:
-        if _atom_evars(goal.cond, {}):
+        if any(isinstance(t, EVar) for t in atom_terms(goal.cond)):
             self._note_fail(depth, f"unresolved existential in guard {goal.cond}")
             return None
         grown = ctx.updated(pure=ctx.pure + (goal.cond,))
@@ -682,23 +617,13 @@ class Prover:
             yield ctx, theta, cons
             return
         self._tick(depth)
-        head = _resolve_heap_atom(goal_atoms[0], theta)
+        head = map_atom(goal_atoms[0], resolve, theta)
         tail = goal_atoms[1:]
         matched = False
-        if isinstance(head, PointsTo):
-            for out in self._match_pt(ctx, head, tail, theta, cons, depth):
-                matched = True
-                yield out
-        elif isinstance(head, ListSeg):
-            for out in self._match_lseg(ctx, head, tail, theta, cons, depth):
-                matched = True
-                yield out
-        elif isinstance(head, TreeSeg):
-            for out in self._match_tree(ctx, head, tail, theta, cons, depth):
-                matched = True
-                yield out
-        else:
-            raise TypeError(head)
+        match = self._match_pt if isinstance(head, PointsTo) else self._match_pred
+        for out in match(ctx, head, tail, theta, cons, depth):
+            matched = True
+            yield out
         if not matched:
             self._note_fail(depth, f"no match for {head} in heap [{', '.join(str(a) for a in ctx.heap)}]")
 
@@ -714,101 +639,56 @@ class Prover:
                 continue
             yield from self._match_atoms(ctx.updated(heap=ctx.without_atom(i)), tail, t2, cons, depth)
 
-    def _match_lseg(self, ctx, goal: ListSeg, tail, theta, cons, depth):
-        # endpoints equal: the empty segment costs nothing
-        start = resolve(goal.start, theta)
-        end = resolve(goal.end, theta)
-        if isinstance(start, EVar) or isinstance(end, EVar):
-            t2 = (
-                self._bind(start, end, theta)
-                if isinstance(start, EVar)
-                else self._bind(end, start, theta)
-            )
-            if t2 is not None:
-                yield from self._match_atoms(ctx, tail, t2, cons, depth)
-        elif ctx.pc.equal(start, end):
-            yield from self._match_atoms(ctx, tail, theta, cons, depth)
+    def _match_pred(self, ctx, goal, tail, theta, cons, depth):
+        head, stop = goal.head, goal.stop
+        # the empty instance: head meets stop, at no cost
+        if isinstance(head, EVar):
+            t0 = self._bind(head, stop, theta)
+        elif isinstance(stop, EVar):
+            t0 = self._bind(stop, head, theta)
+        else:
+            t0 = theta if ctx.pc.equal(head, stop) else None
+        if t0 is not None:
+            yield from self._match_atoms(ctx, tail, t0, cons, depth)
 
-        # peel one exposed cell, paying the per-element annotation
+        # peel one exposed node, paying the per-node annotation
+        (first, _), (second, _) = goal.FIELDS
         for i, cell in enumerate(ctx.heap):
-            if not isinstance(cell, PointsTo) or cell.field != LSEG_NEXT:
+            if not isinstance(cell, PointsTo) or cell.field != first:
                 continue
-            t1 = self._unify(ctx, start, cell.obj, theta)
+            t1 = self._unify(ctx, head, cell.obj, theta)
             if t1 is None:
                 continue
-            for j, dcell in enumerate(ctx.heap):
-                if j == i or not isinstance(dcell, PointsTo) or dcell.field != LSEG_DATA:
+            for j, cell2 in enumerate(ctx.heap):
+                if j == i or not isinstance(cell2, PointsTo) or cell2.field != second:
                     continue
-                if not ctx.pc.equal(dcell.obj, cell.obj):
+                if not ctx.pc.equal(cell2.obj, cell.obj):
                     continue
                 rem, rcons = match_resource(ctx.resource, goal.ann)
                 smaller = ctx.updated(
                     heap=tuple(a for k, a in enumerate(ctx.heap) if k not in (i, j)),
                     resource=rem,
                 )
-                rest = (ListSeg(goal.ann, cell.value, goal.end),) + tail
+                rest = goal.children(cell.value, cell2.value) + tail
                 yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, rcons), depth)
-                break  # data cells at one address are interchangeable
+                break  # second cells at one address are interchangeable
 
-        # absorb a whole context segment starting at the same head
+        # absorb a whole context instance at the same head
         for i, seg in enumerate(ctx.heap):
-            if not isinstance(seg, ListSeg):
+            if type(seg) is not type(goal):
                 continue
-            t1 = self._unify(ctx, start, seg.start, theta)
+            t1 = self._unify(ctx, head, seg.head, theta)
             if t1 is None:
                 continue
             if seg.ann == goal.ann:
                 extra: ConstraintSet = ()
             else:
-                # differing annotations: per-element weakening is sound
-                # because segment resources are lower bounds
+                # differing annotations: per-node weakening is sound
+                # because instance resources are lower bounds
                 extra = (Constraint(seg.ann, goal.ann),)
-            rest = (ListSeg(goal.ann, seg.end, goal.end),) + tail
+            rest = goal.absorbed(seg) + tail
             yield from self._match_atoms(
                 ctx.updated(heap=ctx.without_atom(i)), rest, t1, merge_constraints(cons, extra), depth
-            )
-
-    def _match_tree(self, ctx, goal: TreeSeg, tail, theta, cons, depth):
-        root = resolve(goal.root, theta)
-        # the empty tree: root is null
-        if isinstance(root, EVar):
-            t2 = self._bind(root, NULL, theta)
-            if t2 is not None:
-                yield from self._match_atoms(ctx, tail, t2, cons, depth)
-        elif ctx.pc.equal(root, NULL):
-            yield from self._match_atoms(ctx, tail, theta, cons, depth)
-
-        # peel the root cell pair, recursing into both subtrees
-        for i, cell in enumerate(ctx.heap):
-            if not isinstance(cell, PointsTo) or cell.field != TREE_LEFT:
-                continue
-            t1 = self._unify(ctx, root, cell.obj, theta)
-            if t1 is None:
-                continue
-            for j, rcell in enumerate(ctx.heap):
-                if j == i or not isinstance(rcell, PointsTo) or rcell.field != TREE_RIGHT:
-                    continue
-                if not ctx.pc.equal(rcell.obj, cell.obj):
-                    continue
-                rem, rcons = match_resource(ctx.resource, goal.ann)
-                smaller = ctx.updated(
-                    heap=tuple(a for k, a in enumerate(ctx.heap) if k not in (i, j)),
-                    resource=rem,
-                )
-                rest = (TreeSeg(goal.ann, cell.value), TreeSeg(goal.ann, rcell.value)) + tail
-                yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, rcons), depth)
-                break
-
-        # absorb a whole context tree at the same root
-        for i, seg in enumerate(ctx.heap):
-            if not isinstance(seg, TreeSeg):
-                continue
-            t1 = self._unify(ctx, root, seg.root, theta)
-            if t1 is None:
-                continue
-            extra = () if seg.ann == goal.ann else (Constraint(seg.ann, goal.ann),)
-            yield from self._match_atoms(
-                ctx.updated(heap=ctx.without_atom(i)), tail, t1, merge_constraints(cons, extra), depth
             )
 
     def _solve_pures(self, ctx, atoms: tuple, theta: Subst, depth: int) -> Iterator[Subst]:
@@ -817,7 +697,7 @@ class Prover:
         if not atoms:
             yield theta
             return
-        head = _resolve_pure_atom(atoms[0], theta)
+        head = map_atom(atoms[0], resolve, theta)
         tail = atoms[1:]
         lhs_e = isinstance(head.lhs, EVar)
         rhs_e = isinstance(head.rhs, EVar)

@@ -35,9 +35,10 @@ from .assertions import (
     Var,
     Wand,
     assertion_free_vars,
+    assertion_str,
     subst_assertion,
 )
-from .bytecode import INT, REF, Instr, Procedure, Program, order_for_wlp
+from .bytecode import INT, REF, Instr, Procedure, Program, order_for_wlp, successors
 from .resources import ResourceExpr
 
 
@@ -52,8 +53,6 @@ class VerificationCondition:
     consequent: Goal
 
     def __str__(self) -> str:
-        from .assertions import assertion_str
-
         return f"{self.vc_id}: {assertion_str(self.antecedent)}  |-  {self.consequent}"
 
 
@@ -402,8 +401,6 @@ class _Generator:
 
 
 def unreachable_offsets(proc: Procedure) -> list[int]:
-    from .bytecode import successors
-
     seen = {0} if proc.code else set()
     work = [0] if proc.code else []
     while work:

@@ -18,6 +18,8 @@ on every step, so it is quadratic but obviously free of aliasing.
 snapshots it before every step, in the reference's `MachineState` form.
 `ReferencePureContext` is the rescanning pure decision procedure: it keeps
 the disequalities as a list and walks all of them on every query.
+`ReferenceProver` is the prover with its unfolding and matching rules written
+out once per inductive predicate, `lseg` and `tree` apart.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from amort.assertions import (
     LSEG_NEXT,
     TREE_LEFT,
     TREE_RIGHT,
+    NULL,
     And,
     Clause,
     Exists,
@@ -61,6 +64,16 @@ from amort.lp import (
     LpSolution,
     problem_from_constraints,
     solve,
+)
+from amort.prover import (
+    Constraint,
+    ConstraintSet,
+    EVar,
+    ProofContext,
+    Prover,
+    match_resource,
+    merge_constraints,
+    resolve,
 )
 from amort.resources import ZERO, ResourceValue, res_of_int
 from amort import vm
@@ -425,6 +438,212 @@ class ReferencePureContext:
         if atom.op == "=":
             return self.equal(atom.lhs, atom.rhs)
         return self.unequal(atom.lhs, atom.rhs)
+
+
+# ---------------------------------------------------------------------------
+# reference predicate rules (test oracle)
+#
+# `ReferenceProver` is the prover with one set of unfolding and matching rules
+# per inductive predicate: `lseg` and `tree` each get their own unfolding
+# ladder, node peel and matcher, written out in full.  The shipped
+# `amort.prover.Prover` derives all of them from one shape per predicate, so
+# the two must agree on every saturation branch, proof result and tick.
+
+
+def _resolve_heap_atom(a, theta):
+    if isinstance(a, PointsTo):
+        return PointsTo(resolve(a.obj, theta), a.field, resolve(a.value, theta))
+    if isinstance(a, ListSeg):
+        return ListSeg(a.ann, resolve(a.start, theta), resolve(a.end, theta))
+    if isinstance(a, TreeSeg):
+        return TreeSeg(a.ann, resolve(a.root, theta))
+    raise TypeError(a)
+
+
+class ReferenceProver(Prover):
+    def _unfold_step(self, ctx: ProofContext) -> Optional[list[ProofContext]]:
+        """Apply the first decided unfolding, if any.  Returns the branches
+        to requeue, or None when the context is fully saturated."""
+        pc = ctx.pc
+        for i, atom in enumerate(ctx.heap):
+            if isinstance(atom, ListSeg):
+                rest = ctx.without_atom(i)
+                if pc.equal(atom.start, atom.end):
+                    return [ctx.updated(heap=rest)]
+                if pc.equal(atom.start, NULL):
+                    eq = PureAtom(atom.end, "=", NULL)
+                    return [ctx.updated(pure=ctx.pure + (eq,), heap=rest)]
+                if pc.unequal(atom.start, atom.end):
+                    # a segment with distinct endpoints must be non-empty,
+                    # whether or not the head's null-ness is known yet
+                    return [self._unfold_lseg_cons(ctx, i)]
+                if pc.unequal(atom.start, NULL):
+                    cons = self._unfold_lseg_cons(ctx, i)
+                    empty = ctx.updated(
+                        pure=ctx.pure + (PureAtom(atom.start, "=", atom.end),),
+                        heap=rest,
+                    )
+                    return [empty, cons]
+            elif isinstance(atom, TreeSeg):
+                rest = ctx.without_atom(i)
+                if pc.equal(atom.root, NULL):
+                    return [ctx.updated(heap=rest)]
+                if pc.unequal(atom.root, NULL):
+                    return [self._unfold_tree_cons(ctx, i)]
+        return None
+
+    def _unfold_lseg_cons(self, ctx: ProofContext, i: int) -> ProofContext:
+        seg = ctx.heap[i]
+        nxt = Var(ctx.names.next("n"))
+        dat = Var(ctx.names.next("d"))
+        cells = (
+            PointsTo(seg.start, LSEG_NEXT, nxt),
+            PointsTo(seg.start, LSEG_DATA, dat),
+            ListSeg(seg.ann, nxt, seg.end),
+        )
+        return ctx.updated(
+            heap=ctx.without_atom(i) + cells,
+            resource=ctx.resource + seg.ann,
+        )
+
+    def _unfold_tree_cons(self, ctx: ProofContext, i: int) -> ProofContext:
+        seg = ctx.heap[i]
+        left = Var(ctx.names.next("l"))
+        right = Var(ctx.names.next("r"))
+        cells = (
+            PointsTo(seg.root, TREE_LEFT, left),
+            PointsTo(seg.root, TREE_RIGHT, right),
+            TreeSeg(seg.ann, left),
+            TreeSeg(seg.ann, right),
+        )
+        return ctx.updated(
+            heap=ctx.without_atom(i) + cells,
+            resource=ctx.resource + seg.ann,
+        )
+
+    def _match_atoms(
+        self, ctx: ProofContext, goal_atoms: tuple, theta: Subst, cons: ConstraintSet, depth: int
+    ) -> Iterator[tuple[ProofContext, Subst, ConstraintSet]]:
+        if not goal_atoms:
+            yield ctx, theta, cons
+            return
+        self._tick(depth)
+        head = _resolve_heap_atom(goal_atoms[0], theta)
+        tail = goal_atoms[1:]
+        matched = False
+        if isinstance(head, PointsTo):
+            for out in self._match_pt(ctx, head, tail, theta, cons, depth):
+                matched = True
+                yield out
+        elif isinstance(head, ListSeg):
+            for out in self._match_lseg(ctx, head, tail, theta, cons, depth):
+                matched = True
+                yield out
+        elif isinstance(head, TreeSeg):
+            for out in self._match_tree(ctx, head, tail, theta, cons, depth):
+                matched = True
+                yield out
+        else:
+            raise TypeError(head)
+        if not matched:
+            self._note_fail(depth, f"no match for {head} in heap [{', '.join(str(a) for a in ctx.heap)}]")
+
+    def _match_lseg(self, ctx, goal: ListSeg, tail, theta, cons, depth):
+        # endpoints equal: the empty segment costs nothing
+        start = resolve(goal.start, theta)
+        end = resolve(goal.end, theta)
+        if isinstance(start, EVar) or isinstance(end, EVar):
+            t2 = (
+                self._bind(start, end, theta)
+                if isinstance(start, EVar)
+                else self._bind(end, start, theta)
+            )
+            if t2 is not None:
+                yield from self._match_atoms(ctx, tail, t2, cons, depth)
+        elif ctx.pc.equal(start, end):
+            yield from self._match_atoms(ctx, tail, theta, cons, depth)
+
+        # peel one exposed cell, paying the per-element annotation
+        for i, cell in enumerate(ctx.heap):
+            if not isinstance(cell, PointsTo) or cell.field != LSEG_NEXT:
+                continue
+            t1 = self._unify(ctx, start, cell.obj, theta)
+            if t1 is None:
+                continue
+            for j, dcell in enumerate(ctx.heap):
+                if j == i or not isinstance(dcell, PointsTo) or dcell.field != LSEG_DATA:
+                    continue
+                if not ctx.pc.equal(dcell.obj, cell.obj):
+                    continue
+                rem, rcons = match_resource(ctx.resource, goal.ann)
+                smaller = ctx.updated(
+                    heap=tuple(a for k, a in enumerate(ctx.heap) if k not in (i, j)),
+                    resource=rem,
+                )
+                rest = (ListSeg(goal.ann, cell.value, goal.end),) + tail
+                yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, rcons), depth)
+                break  # data cells at one address are interchangeable
+
+        # absorb a whole context segment starting at the same head
+        for i, seg in enumerate(ctx.heap):
+            if not isinstance(seg, ListSeg):
+                continue
+            t1 = self._unify(ctx, start, seg.start, theta)
+            if t1 is None:
+                continue
+            if seg.ann == goal.ann:
+                extra: ConstraintSet = ()
+            else:
+                # differing annotations: per-element weakening is sound
+                # because segment resources are lower bounds
+                extra = (Constraint(seg.ann, goal.ann),)
+            rest = (ListSeg(goal.ann, seg.end, goal.end),) + tail
+            yield from self._match_atoms(
+                ctx.updated(heap=ctx.without_atom(i)), rest, t1, merge_constraints(cons, extra), depth
+            )
+
+    def _match_tree(self, ctx, goal: TreeSeg, tail, theta, cons, depth):
+        root = resolve(goal.root, theta)
+        # the empty tree: root is null
+        if isinstance(root, EVar):
+            t2 = self._bind(root, NULL, theta)
+            if t2 is not None:
+                yield from self._match_atoms(ctx, tail, t2, cons, depth)
+        elif ctx.pc.equal(root, NULL):
+            yield from self._match_atoms(ctx, tail, theta, cons, depth)
+
+        # peel the root cell pair, recursing into both subtrees
+        for i, cell in enumerate(ctx.heap):
+            if not isinstance(cell, PointsTo) or cell.field != TREE_LEFT:
+                continue
+            t1 = self._unify(ctx, root, cell.obj, theta)
+            if t1 is None:
+                continue
+            for j, rcell in enumerate(ctx.heap):
+                if j == i or not isinstance(rcell, PointsTo) or rcell.field != TREE_RIGHT:
+                    continue
+                if not ctx.pc.equal(rcell.obj, cell.obj):
+                    continue
+                rem, rcons = match_resource(ctx.resource, goal.ann)
+                smaller = ctx.updated(
+                    heap=tuple(a for k, a in enumerate(ctx.heap) if k not in (i, j)),
+                    resource=rem,
+                )
+                rest = (TreeSeg(goal.ann, cell.value), TreeSeg(goal.ann, rcell.value)) + tail
+                yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, rcons), depth)
+                break
+
+        # absorb a whole context tree at the same root
+        for i, seg in enumerate(ctx.heap):
+            if not isinstance(seg, TreeSeg):
+                continue
+            t1 = self._unify(ctx, root, seg.root, theta)
+            if t1 is None:
+                continue
+            extra = () if seg.ann == goal.ann else (Constraint(seg.ann, goal.ann),)
+            yield from self._match_atoms(
+                ctx.updated(heap=ctx.without_atom(i)), tail, t1, merge_constraints(cons, extra), depth
+            )
 
 
 # ---------------------------------------------------------------------------

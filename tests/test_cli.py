@@ -3,11 +3,17 @@
 import errno
 import json
 import os
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
 from amort import cli
+
+# `amort analyze <name> --emit-vcs --emit-constraints --lp-dump` per corpus
+# program: the exit code, stdout with its `timings:` line masked, and stderr
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -118,6 +124,15 @@ entry f
     def test_proof_failure_exit(self, capsys):
         assert run_cli("analyze", "leak_list") == cli.EXIT_PROOF
         assert "leftover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in cli.CORPUS_DIR.glob("*.amr")))
+    def test_listing_matches_golden(self, name, capsys):
+        # exit code, stdout and stderr of the full listing, timings masked
+        code = run_cli("analyze", name, "--emit-vcs", "--emit-constraints", "--lp-dump")
+        captured = capsys.readouterr()
+        out = re.sub(r"(?m)^timings: .*$", "timings: <masked>", captured.out)
+        listing = f"exit: {code}\n--- stdout ---\n{out}--- stderr ---\n{captured.err}"
+        assert listing == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 class TestRun:

@@ -5,6 +5,9 @@ walk the matching rules, recording one inequality per resource payment and
 per absorbed segment with a differing annotation.
 """
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +42,7 @@ from amort.prover import (
 )
 from amort.resources import ResourceExpr
 from amort.vcgen import gen_program_vcs
+from oracles import ReferenceProver
 
 R = ResourceExpr.const
 V = ResourceExpr.var
@@ -500,3 +504,97 @@ class TestEndToEnd:
         first = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
         second = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# differential test against the per-predicate rules
+
+
+class TestReferenceProver:
+    TERMS = (x, y, z, NULL)
+    ANNS = (R(0), R(1), V("p"), V("q"))
+
+    def random_heap(self, rng, terms, size, near=()):
+        # single cells, nodes of either predicate, lsegs and trees;
+        # half of the cells and instances sit at an address of a cell
+        # already here or in `near`
+        heap = []
+
+        def at():
+            pool = list(near) + [a.obj for a in heap if isinstance(a, PointsTo)]
+            return rng.choice(pool) if pool and rng.random() < 0.5 else rng.choice(terms)
+
+        while len(heap) < size:
+            kind = rng.randrange(5)
+            if kind == 0:
+                f = rng.choice(("next", "data", "left", "right"))
+                heap.append(PointsTo(at(), f, rng.choice(terms)))
+            elif kind == 1:
+                # a node, now and then with its second cell twice
+                obj = rng.choice(terms)
+                f1, f2 = rng.choice((("next", "data"), ("left", "right")))
+                fields = (f1, f2, f2) if rng.random() < 0.25 else (f1, f2)
+                heap += [PointsTo(obj, f, rng.choice(terms)) for f in fields]
+            elif kind in (2, 3):
+                heap.append(ListSeg(rng.choice(self.ANNS), at(), rng.choice(terms)))
+            else:
+                heap.append(TreeSeg(rng.choice(self.ANNS), at()))
+        return tuple(heap[:size])
+
+    def random_pure(self, rng, terms, size):
+        return tuple(
+            PureAtom(rng.choice(terms), rng.choice(("=", "!=")), rng.choice(terms))
+            for _ in range(size)
+        )
+
+    def random_case(self, rng):
+        pure = self.random_pure(rng, self.TERMS, rng.randint(0, 2))
+        heap = self.random_heap(rng, self.TERMS, rng.randint(0, 4))
+        resource = rng.choice(self.ANNS)
+        exists = ("e",) if rng.random() < 0.5 else ()
+        terms = self.TERMS + (Var("e"),) if exists else self.TERMS
+        goal = Clause(
+            exists,
+            self.random_pure(rng, terms, rng.randint(0, 1)),
+            self.random_heap(rng, terms, rng.randint(0, 3), [a.obj for a in heap if isinstance(a, PointsTo)]),
+            rng.choice(self.ANNS),
+        )
+        return pure, heap, resource, goal
+
+    @staticmethod
+    def branches(prover, ctx):
+        return [(c.pure, c.heap, c.resource) for c in prover.saturate(ctx)]
+
+    @staticmethod
+    def matches(prover, ctx, clause):
+        # every way of matching the clause against the unsaturated context,
+        # whose cells may repeat a field at one address: saturation prunes
+        # such contexts, so only here does the choice among them show
+        out = [
+            (c.pure, c.heap, c.resource, theta, cons)
+            for c, theta, cons in itertools.islice(prover._match_clause(ctx, clause, 0), 64)
+        ]
+        return out, prover._work
+
+    @staticmethod
+    def outcome(res):
+        fail = res.failure.message if res.failure else None
+        return res.ok, res.constraints, fail, res.ticks
+
+    def test_agrees_with_per_predicate_rules(self):
+        # saturation branches, raw matches and proof results must be the
+        # reference's exactly: fresh names, constraint order, messages, ticks
+        rng = random.Random(11)
+        seen = {"ok": 0, "failed": 0, "matched": 0}
+        for case in range(1000):
+            pure, heap, resource, goal = self.random_case(rng)
+            ctx = functools.partial(ProofContext, pure, heap, resource)
+            label = f"case {case}: {ctx()} |- {goal}"
+            assert self.branches(Prover(), ctx()) == self.branches(ReferenceProver(), ctx()), label
+            got = self.matches(Prover(), ctx(), goal)
+            assert got == self.matches(ReferenceProver(), ctx(), goal), label
+            res = Prover().prove(ctx(), Leaf((goal,)))
+            assert self.outcome(res) == self.outcome(ReferenceProver().prove(ctx(), Leaf((goal,)))), label
+            seen["ok" if res.ok else "failed"] += 1
+            seen["matched"] += bool(got[0])
+        assert min(seen.values()) >= 100, seen
