@@ -81,16 +81,24 @@ class Constraint:
     def __str__(self) -> str:
         return f"{self.lhs} >= {self.rhs}"
 
+    def __hash__(self) -> int:
+        # computed once, like `ResourceExpr`'s
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.lhs, self.rhs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
 
 ConstraintSet = tuple  # tuple[Constraint, ...], deduplicated, insertion order
 
 
-def merge_constraints(*sets: Sequence[Constraint]) -> ConstraintSet:
-    out: dict[Constraint, None] = {}
-    for s in sets:
-        for c in s:
-            out[c] = None
-    return tuple(out)
+def merge_constraints(*sets: ConstraintSet) -> ConstraintSet:
+    """The union of constraint sets, each constraint where it first occurs."""
+    nonempty = [s for s in sets if s]
+    if len(nonempty) == 1:
+        return tuple(nonempty[0])
+    return tuple(dict.fromkeys(c for s in nonempty for c in s))
 
 
 # ---------------------------------------------------------------------------

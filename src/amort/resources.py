@@ -83,6 +83,15 @@ class ResourceExpr:
     def var(name: str, coeff: Fraction | int = 1) -> "ResourceExpr":
         return ResourceExpr.make(0, {name: Fraction(coeff)})
 
+    def __hash__(self) -> int:
+        # computed once: `Fraction.__hash__` is costly and constraint sets
+        # hash the same expressions again and again
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.constant, self.terms))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def coeff_map(self) -> dict[str, Fraction]:
         return dict(self.terms)
 

@@ -1,10 +1,10 @@
 """Small-step interpreter for the stack machine with a resource budget.
 
-States are four-tuples (consumed, total allowed, heap, frame stack); every
-step that consumes resource is checked against the budget, and exceeding
-it is a distinguished outcome rather than an exception.  The acquisition
-variant (`acquire`) can raise the budget mid-run under a deterministic,
-externally supplied policy.
+A state is consumed, total allowed, heap and frame stack; every step that
+consumes resource is checked against the budget, and exceeding it is a
+distinguished outcome rather than an exception.  The acquisition variant
+(`acquire`) can raise the budget mid-run under a deterministic, externally
+supplied policy.
 
 Values are Python ints, `Addr` objects, or None for null.  Heaps map
 (address, field name) pairs to values.
@@ -12,19 +12,30 @@ Values are Python ints, `Addr` objects, or None for null.  Heaps map
 There is one machine, one rule per instruction and one driver.  Each rule
 is an in-place update of the machine: a heap dict, and a list of frames,
 each with a list stack (top at the end), a locals dict and a pc.  `run`
-copies the caller's heap once into a fresh machine, and `_drive` applies
-the rules to it, so a step costs the same at any heap size or call depth.
+copies the caller's heap once into a fresh machine and decodes each
+procedure once: its code becomes a list of (rule, operand) pairs taken
+from `_RULES`, with the operand read off the instruction in advance (a
+`call` carries its callee's decoded code and arity).  `_drive` applies
+the pairs to the machine, so a step costs the same at any heap size or
+call depth.
+
+The machine counts consumed and total allowed as integers in units of
+1/scale, where scale is the lcm of the budget's denominator and of every
+`consume` amount's in the program; `consume_dyn` and a granted `acquire`
+of z add z * scale.  Every outcome reports the exact rational amounts.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
-from .bytecode import Program
-from .resources import ZERO, ResourceValue, res_of_int
+from .bytecode import Instr, Program
+from .resources import ResourceValue, res_of_int
 
 
 @dataclass(frozen=True)
@@ -141,32 +152,32 @@ def parse_policy(text: str) -> AcquisitionPolicy:
 
 
 class _Frame:
-    """A live frame; `stack` is a list whose top is its last element."""
+    """A live frame: its decoded code, a list stack whose top is its last
+    element, a locals dict and a pc."""
 
     __slots__ = ("proc", "code", "stack", "locals", "pc")
 
-    def __init__(self, proc: str, code: tuple, stack: list, locals_: dict, pc: int):
+    def __init__(self, proc: str, code: list, stack: list, locals_: dict, pc: int):
         self.proc, self.code, self.stack, self.locals, self.pc = proc, code, stack, locals_, pc
 
 
 class _Machine:
     """The live state of a run: heap, frames (active last), consumed and total
-    allowed, the next fresh address and the number of `acquire` requests so
-    far, plus the procedure table and the acquisition policy."""
+    allowed as integers in units of 1/`scale`, the next fresh address and the
+    number of `acquire` requests so far, plus the acquisition policy."""
 
     __slots__ = (
-        "procs", "policy", "heap", "frames", "consumed", "total", "next_addr", "acquire_count"
+        "policy", "heap", "frames", "consumed", "total", "scale", "next_addr", "acquire_count"
     )
 
-    def __init__(self, procs, policy, heap, frames, consumed, total, next_addr, acquire_count):
-        self.procs, self.policy, self.heap, self.frames = procs, policy, heap, frames
-        self.consumed, self.total = consumed, total
+    def __init__(self, policy, heap, frames, consumed, total, scale, next_addr, acquire_count):
+        self.policy, self.heap, self.frames = policy, heap, frames
+        self.consumed, self.total, self.scale = consumed, total, scale
         self.next_addr, self.acquire_count = next_addr, acquire_count
 
-
-def _proc_table(program: Program) -> dict:
-    # the first procedure of a name wins, as in `Program.proc`
-    return {p.name: p for p in reversed(program.procedures)}
+    def amounts(self) -> tuple[ResourceValue, ResourceValue]:
+        """(consumed, total allowed) as exact resource amounts."""
+        return Fraction(self.consumed, self.scale), Fraction(self.total, self.scale)
 
 
 def _pop(stack: list) -> Value:
@@ -183,12 +194,12 @@ def _pop2(stack: list) -> tuple[Value, Value]:
 
 
 _CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
 
 
@@ -202,196 +213,212 @@ def _int_rem(a: int, b: int) -> int:
 
 
 _ALU = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "div": _int_div,
     "rem": _int_rem,
 }
 
 
-# Each rule takes (machine, active frame, instruction), updates them in place
-# and returns None, or a terminal outcome; it raises _StuckSignal, before
-# touching the budget, when no rule applies.
+# Each rule takes (machine, active frame, decoded operand), updates them in
+# place and returns None, or a terminal outcome; it raises _StuckSignal,
+# before touching the budget, when no rule applies.
 
 
-def _iconst(m, f, ins):
-    f.stack.append(ins.value)
+def _iconst(m, f, value):
+    f.stack.append(value)
     f.pc += 1
 
 
-def _aconst_null(m, f, ins):
+def _aconst_null(m, f, _):
     f.stack.append(None)
     f.pc += 1
 
 
-def _pop_rule(m, f, ins):
-    _pop(f.stack)
+def _pop_rule(m, f, _):
+    if not f.stack:
+        raise _StuckSignal("stack underflow")
+    f.stack.pop()
     f.pc += 1
 
 
-def _load(m, f, ins):
+def _load(m, f, slot):
     try:
-        v = f.locals[ins.slot]
+        v = f.locals[slot]
     except KeyError:
-        raise _StuckSignal(f"load of uninitialised local {ins.slot}") from None
+        raise _StuckSignal(f"load of uninitialised local {slot}") from None
     f.stack.append(v)
     f.pc += 1
 
 
-def _store(m, f, ins):
-    f.locals[ins.slot] = _pop(f.stack)
+def _store(m, f, slot):
+    if not f.stack:
+        raise _StuckSignal("stack underflow")
+    f.locals[slot] = f.stack.pop()
     f.pc += 1
 
 
-def _ibinop(m, f, ins):
+def _ibinop(m, f, operand):
+    alu, fn = operand
     z1, z2 = _pop2(f.stack)
     if not (isinstance(z1, int) and isinstance(z2, int)):
-        raise _StuckSignal(f"ibinop {ins.alu} on non-integer operands")
-    if ins.alu in ("div", "rem") and z2 == 0:
+        raise _StuckSignal(f"ibinop {alu} on non-integer operands")
+    if alu in ("div", "rem") and z2 == 0:
         raise _StuckSignal("division by zero")
-    f.stack.append(_ALU[ins.alu](z1, z2))
+    f.stack.append(fn(z1, z2))
     f.pc += 1
 
 
-def _binarycmp(m, f, ins):
+def _binarycmp(m, f, operand):
+    cmp, fn, target = operand
     z1, z2 = _pop2(f.stack)
     ints = isinstance(z1, int) and isinstance(z2, int)
-    if ins.cmp in ("eq", "ne"):
+    if cmp in ("eq", "ne"):
         if not (ints or (is_ref(z1) and is_ref(z2))):
-            raise _StuckSignal(f"binarycmp {ins.cmp} on mixed operand types")
+            raise _StuckSignal(f"binarycmp {cmp} on mixed operand types")
     elif not ints:
-        raise _StuckSignal(f"binarycmp {ins.cmp} requires integer operands")
-    f.pc = ins.target if _CMP[ins.cmp](z1, z2) else f.pc + 1
+        raise _StuckSignal(f"binarycmp {cmp} requires integer operands")
+    f.pc = target if fn(z1, z2) else f.pc + 1
 
 
-def _unarycmp(m, f, ins):
+def _unarycmp(m, f, operand):
+    cmp, fn, target = operand
     z = _pop(f.stack)
     if not isinstance(z, int):
-        raise _StuckSignal(f"unarycmp {ins.cmp} requires an integer operand")
-    f.pc = ins.target if _CMP[ins.cmp](z, 0) else f.pc + 1
+        raise _StuckSignal(f"unarycmp {cmp} requires an integer operand")
+    f.pc = target if fn(z, 0) else f.pc + 1
 
 
-def _ifnull(m, f, ins):
-    a = _pop(f.stack)
-    if not is_ref(a):
+def _ifnull(m, f, target):
+    if not f.stack:
+        raise _StuckSignal("stack underflow")
+    a = f.stack.pop()
+    if a is None:
+        f.pc = target
+    elif isinstance(a, Addr):
+        f.pc += 1
+    else:
         raise _StuckSignal("ifnull on an integer operand")
-    f.pc = ins.target if a is None else f.pc + 1
 
 
-def _goto(m, f, ins):
-    f.pc = ins.target
+def _goto(m, f, target):
+    f.pc = target
 
 
 _DEFAULTS = {"int": 0, "ref": None}
 
 
-def _new(m, f, ins):
+def _new(m, f, cells):
     a = Addr(m.next_addr)
     m.next_addr += 1
     heap = m.heap
-    for fname, ftype in ins.desc.entries:
-        heap[(a, fname)] = _DEFAULTS[ftype]
+    for fname, default in cells:
+        heap[(a, fname)] = default
     f.stack.append(a)
     f.pc += 1
 
 
-def _getfield(m, f, ins):
-    a = _pop(f.stack)
+def _getfield(m, f, field):
+    stack = f.stack
+    if not stack:
+        raise _StuckSignal("stack underflow")
+    a = stack[-1]
     if not isinstance(a, Addr):
-        raise _StuckSignal(f"getfield {ins.field} on {value_str(a)}")
+        raise _StuckSignal(f"getfield {field} on {value_str(a)}")
     try:
-        v = m.heap[(a, ins.field)]
+        stack[-1] = m.heap[(a, field)]
     except KeyError:
-        raise _StuckSignal(f"getfield {ins.field}: cell absent at {a}") from None
-    f.stack.append(v)
+        raise _StuckSignal(f"getfield {field}: cell absent at {a}") from None
     f.pc += 1
 
 
-def _putfield(m, f, ins):
+def _putfield(m, f, field):
     a, v = _pop2(f.stack)
     if not isinstance(a, Addr):
-        raise _StuckSignal(f"putfield {ins.field} on {value_str(a)}")
-    cell = (a, ins.field)
+        raise _StuckSignal(f"putfield {field} on {value_str(a)}")
+    cell = (a, field)
     if cell not in m.heap:
-        raise _StuckSignal(f"putfield {ins.field}: cell absent at {a}")
+        raise _StuckSignal(f"putfield {field}: cell absent at {a}")
     m.heap[cell] = v
     f.pc += 1
 
 
-def _free(m, f, ins):
+def _free(m, f, fields):
     a = _pop(f.stack)
     if not isinstance(a, Addr):
         raise _StuckSignal(f"free on {value_str(a)}")
     heap = m.heap
-    cells = [(a, fname) for fname, _ in ins.desc.entries]
-    missing = [fname for (_, fname) in cells if (a, fname) not in heap]
+    missing = [fname for fname in fields if (a, fname) not in heap]
     if missing:
         raise _StuckSignal(f"free at {a}: field {missing[0]} absent")
-    for cell in cells:
-        del heap[cell]
+    for fname in fields:
+        del heap[(a, fname)]
     f.pc += 1
 
 
-def _charge(m, f, amount):
-    """Consume `amount` at the active instruction; a violation if it overdraws."""
-    if amount:
-        m.consumed += amount
-        if m.consumed > m.total:
-            return BudgetViolation(f.proc, f.pc, m.consumed, m.total)
-    return None
+# consumed <= total holds until a charge overdraws it (it holds at the start,
+# and `acquire` only raises the total), so charging 0 needs no test of its
+# own.  A violation ends the run, so its rule leaves the pc where it was.
 
 
-def _consume(m, f, ins):
-    over = _charge(m, f, ins.amount)
+def _consume(m, f, amount):
+    m.consumed += amount
+    if m.consumed > m.total:
+        return BudgetViolation(f.proc, f.pc, *m.amounts())
     f.pc += 1
-    return over
 
 
-def _consume_dyn(m, f, ins):
+def _consume_dyn(m, f, _):
     z = _pop(f.stack)
     if not isinstance(z, int):
         raise _StuckSignal("consume_dyn requires an integer operand")
-    over = _charge(m, f, res_of_int(z))
+    if z > 0:
+        m.consumed += z * m.scale
+        if m.consumed > m.total:
+            return BudgetViolation(f.proc, f.pc, *m.amounts())
     f.pc += 1
-    return over
 
 
-def _acquire(m, f, ins):
+def _acquire(m, f, _):
     z = _pop(f.stack)
     if not isinstance(z, int):
         raise _StuckSignal("acquire requires an integer operand")
-    request = res_of_int(z)
-    granted = m.policy.decide(m.acquire_count, request)
+    granted = m.policy.decide(m.acquire_count, res_of_int(z))
     m.acquire_count += 1
-    if granted and request:
-        m.total += request
+    if granted and z > 0:
+        m.total += z * m.scale
     f.stack.append(1 if granted else 0)
     f.pc += 1
 
 
-def _call(m, f, ins):
-    callee = m.procs[ins.callee]
-    stack, n = f.stack, callee.arity
+def _call(m, f, operand):
+    callee, code, n = operand
+    stack = f.stack
     if len(stack) < n:
-        raise _StuckSignal(f"call {ins.callee}: stack underflow")
+        raise _StuckSignal(f"call {callee}: stack underflow")
     # the top of the stack becomes local 0
-    locals_ = {i: stack[-1 - i] for i in range(n)}
-    del stack[len(stack) - n :]
+    locals_ = {}
+    for i in range(n):
+        locals_[i] = stack.pop()
     f.pc += 1
-    m.frames.append(_Frame(ins.callee, callee.code, [], locals_, 0))
+    m.frames.append(_Frame(callee, code, [], locals_, 0))
 
 
-def _return(m, f, ins):
+def _return(m, f, _):
     if not f.stack:
         raise _StuckSignal("return with an empty stack")
     v = f.stack[-1]
     frames = m.frames
     frames.pop()
     if not frames:
-        return Halt(m.heap, m.consumed, m.total, v)
+        return Halt(m.heap, *m.amounts(), v)
     frames[-1].stack.append(v)
     return None
+
+
+def _stuck(m, f, reason):
+    raise _StuckSignal(reason)
 
 
 _RULES = {
@@ -417,8 +444,47 @@ _RULES = {
 }
 
 
-def _no_rule(m, f, ins):
-    raise _StuckSignal(f"no rule for {ins.op}")
+def _scale(budget: ResourceValue, instrs: Iterable[Instr]) -> int:
+    """The lcm of the budget's denominator and every `consume` amount's."""
+    dens = [ins.amount.denominator for ins in instrs if ins.op == "consume" and ins.amount]
+    return lcm(budget.denominator, *dens)
+
+
+def _decode(ins: Instr, codes: dict, scale: int) -> tuple:
+    """The (rule, operand) pair that executes `ins`.
+
+    `codes` maps each procedure name to its (decoded code, arity); a
+    `call` carries its callee's, and a `consume` its amount in units of
+    1/`scale`.  An instruction that no rule executes decodes to one that
+    gets stuck when it is reached."""
+    op = ins.op
+    rule = _RULES.get(op)
+    if rule is None:
+        return _stuck, f"no rule for {op}"
+    if op == "iconst":
+        return rule, ins.value
+    if op in ("load", "store"):
+        return rule, ins.slot
+    if op == "ibinop":
+        return rule, (ins.alu, _ALU[ins.alu])
+    if op in ("binarycmp", "unarycmp"):
+        return rule, (ins.cmp, _CMP[ins.cmp], ins.target)
+    if op in ("ifnull", "goto"):
+        return rule, ins.target
+    if op == "new":
+        return rule, tuple((fname, _DEFAULTS[ftype]) for fname, ftype in ins.desc.entries)
+    if op == "free":
+        return rule, ins.desc.fields()
+    if op in ("getfield", "putfield"):
+        return rule, ins.field
+    if op == "consume":
+        a = ins.amount or 0
+        return rule, a.numerator * (scale // a.denominator)
+    if op == "call":
+        if ins.callee not in codes:
+            return _stuck, f"call to absent procedure {ins.callee}"
+        return rule, (ins.callee, *codes[ins.callee])
+    return rule, None
 
 
 def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
@@ -426,19 +492,22 @@ def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
 
     Returns (outcome, steps), with outcome None when the fuel ran out.
     """
-    frames, rules = m.frames, _RULES
-    for steps in range(1, fuel + 1):
-        f = frames[-1]
-        pc, code = f.pc, f.code
-        if not 0 <= pc < len(code):
-            return Stuck(f"pc {pc} out of range", f.proc, pc), steps
-        ins = code[pc]
-        try:
-            outcome = rules.get(ins.op, _no_rule)(m, f, ins)
-        except _StuckSignal as s:
-            return Stuck(s.reason, f.proc, pc), steps
-        if outcome is not None:
-            return outcome, steps
+    frames = m.frames
+    try:
+        for steps in range(1, fuel + 1):
+            f = frames[-1]
+            pc = f.pc
+            if pc < 0:  # as a list index it would count from the end
+                raise _StuckSignal(f"pc {pc} out of range")
+            try:
+                rule, operand = f.code[pc]
+            except IndexError:
+                raise _StuckSignal(f"pc {pc} out of range") from None
+            outcome = rule(m, f, operand)
+            if outcome is not None:
+                return outcome, steps
+    except _StuckSignal as s:
+        return Stuck(s.reason, f.proc, pc), steps
     return None, fuel
 
 
@@ -483,16 +552,25 @@ def _start(
     heap: Optional[Heap],
     next_addr: int,
 ) -> _Machine:
-    """The machine at the entry procedure, with its own copy of `heap`."""
-    procs = _proc_table(program)
+    """The machine at the entry procedure, with its own copy of `heap` and
+    every procedure decoded."""
+    # the first procedure of a name wins, as in `Program.proc`
+    procs = {p.name: p for p in reversed(program.procedures)}
     entry = procs[program.entry]
     if len(args) != entry.arity:
         raise VmError(f"{program.entry} expects {entry.arity} arguments, got {len(args)}")
     total = Fraction(budget)
     if total < 0:
         raise VmError(f"budget must be nonnegative, got {total}")
-    frame = _Frame(program.entry, entry.code, [], dict(enumerate(args)), 0)
-    return _Machine(procs, policy, dict(heap or {}), [frame], ZERO, total, next_addr, 0)
+    scale = _scale(total, (ins for p in procs.values() for ins in p.code))
+    # every list exists before any is filled, so each call, recursive ones
+    # too, can carry its callee's
+    codes = {name: ([], p.arity) for name, p in procs.items()}
+    for name, p in procs.items():
+        codes[name][0].extend(_decode(ins, codes, scale) for ins in p.code)
+    frame = _Frame(program.entry, codes[program.entry][0], [], dict(enumerate(args)), 0)
+    units = total.numerator * (scale // total.denominator)
+    return _Machine(policy, dict(heap or {}), [frame], 0, units, scale, next_addr, 0)
 
 
 def run(
@@ -512,4 +590,4 @@ def run(
     outcome, steps = _drive(m, fuel)
     if outcome is None:
         outcome = FuelExhausted(fuel)
-    return RunResult(outcome, steps, m.consumed, m.total)
+    return RunResult(outcome, steps, *m.amounts())

@@ -1276,7 +1276,7 @@ def snapshot(m: vm._Machine) -> MachineState:
     frames = tuple(
         Frame(f.proc, tuple(reversed(f.stack)), dict(f.locals), f.pc) for f in reversed(m.frames)
     )
-    return MachineState(m.consumed, m.total, dict(m.heap), frames, m.next_addr, m.acquire_count)
+    return MachineState(*m.amounts(), dict(m.heap), frames, m.next_addr, m.acquire_count)
 
 
 def traced_run(
@@ -1295,6 +1295,6 @@ def traced_run(
     for steps in range(1, fuel + 1):
         outcome, _ = vm._drive(m, 1)
         if outcome is not None:
-            return RunResult(outcome, steps, m.consumed, m.total), states
+            return RunResult(outcome, steps, *m.amounts()), states
         states.append(snapshot(m))
-    return RunResult(FuelExhausted(fuel), fuel, m.consumed, m.total), states
+    return RunResult(FuelExhausted(fuel), fuel, *m.amounts()), states

@@ -1,12 +1,20 @@
 """Interpreter semantics: rule-level unit tests and whole-run behaviour."""
 
+import random
 from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
 from amort import vm
-from amort.bytecode import FieldDescriptor, Instr, parse_program, parse_program_file
+from amort.bytecode import (
+    FieldDescriptor,
+    Instr,
+    Procedure,
+    Program,
+    parse_program,
+    parse_program_file,
+)
 from amort.cli import CORPUS_DIR, analyze_program, classify_inputs, _sized_input
 from amort.resources import ZERO
 from amort.vm import (
@@ -29,7 +37,8 @@ PAIR = FieldDescriptor((("data", "int"), ("next", "ref")))
 
 
 def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False):
-    """Apply the shipped rule for `ins` to a one-frame machine with total 0.
+    """Apply the shipped rule for `ins`, as the shipped decoder pairs them,
+    to a one-frame machine with total 0.
 
     `stack` is given top first, as in the returned snapshot; the frame is
     its `frames[0]`, and `total_allowed` is what `acquire` was granted.
@@ -42,9 +51,11 @@ def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False)
         requests.append(request)
         return grant
 
-    f = vm._Frame("f", (), list(reversed(stack)), dict(locals_ or {}), 0)
-    m = vm._Machine({}, AcquisitionPolicy(decide), dict(heap or {}), [f], ZERO, ZERO, next_addr, 0)
-    vm._RULES[ins.op](m, f, ins)
+    scale = vm._scale(ZERO, [ins])
+    rule, operand = vm._decode(ins, {}, scale)
+    f = vm._Frame("f", [], list(reversed(stack)), dict(locals_ or {}), 0)
+    m = vm._Machine(AcquisitionPolicy(decide), dict(heap or {}), [f], 0, 0, scale, next_addr, 0)
+    rule(m, f, operand)
     return snapshot(m), requests
 
 
@@ -531,6 +542,111 @@ entry main
         _, sized = sized_inputs("iterate_list")
         kinds = {agree(prog, inputs, Fraction(0), ALWAYS_DENY) for inputs in sized[:5]}
         assert kinds == {"Stuck", "Halt"}
+
+
+def rational_program(rng):
+    """A seeded program whose budget arithmetic is rational: `consume p/q`
+    with q in 1..6, `consume_dyn` of negative and positive integers, and
+    `acquire` requests whose grant (1) is spent at once, in straight-line
+    code, a counted loop and calls to a helper that charges its argument
+    plus a fraction of its own."""
+    code = []
+    for _ in range(rng.randint(3, 9)):
+        kind = rng.choice(("consume", "dyn", "acquire", "call", "loop"))
+        if kind == "consume":
+            code.append(f"consume {rng.randint(0, 7)}/{rng.randint(1, 6)}")
+        elif kind == "dyn":
+            code += [f"iconst {rng.randint(-3, 3)}", "consume_dyn"]
+        elif kind == "acquire":
+            code += [f"iconst {rng.randint(-2, 4)}", "acquire", "consume_dyn"]
+        elif kind == "call":
+            code += [f"iconst {rng.randint(-2, 3)}", "call helper", "pop"]
+        else:
+            # for i = k downto 1: consume p/q
+            head = len(code) + 2
+            code += [f"iconst {rng.randint(0, 4)}", "store 0", "load 0", f"unarycmp le {head + 8}"]
+            code += [f"consume {rng.randint(1, 5)}/{rng.randint(1, 6)}"]
+            code += ["iconst 1", "load 0", "ibinop sub", "store 0", f"goto {head}"]
+    code += ["iconst 0", "return"]
+    body = "\n".join(f"  {i}: {ins}" for i, ins in enumerate(code))
+    helper = f"consume {rng.randint(0, 5)}/{rng.randint(1, 6)}"
+    return parse(
+        f"proc main() locals i:int {{\n{body}\n}}\n"
+        f"proc helper(n:int) {{\n  0: load n\n  1: consume_dyn\n  2: {helper}\n"
+        "  3: iconst 0\n  4: return\n}\nentry main"
+    )
+
+
+class TestRationalAccounting:
+    """`run` counts in integer units of 1/scale; the reference adds
+    `Fraction`s.  They must agree on every outcome, at every pc, to the
+    exact amount."""
+
+    def test_seeded_programs_agree_with_the_reference(self):
+        rng = random.Random(20261018)
+        kinds, exact_halts = defaultdict(int), 0
+        for trial in range(80):
+            prog = rational_program(rng)
+            script = [rng.random() < 0.5 for _ in range(rng.randint(1, 4))]
+            for policy in (AcquisitionPolicy.from_script(script), AcquisitionPolicy.seeded(trial)):
+                # the budget that the run spends exactly, and just short of it
+                roomy, _ = reference_run(prog, [], Fraction(10**6), policy=policy)
+                need = roomy.consumed - (roomy.total - 10**6)
+                budgets = [need] + [need - Fraction(1, q) for q in range(1, 7)]
+                budgets += [Fraction(rng.randint(0, 24), q) for q in range(1, 7)]
+                budgets.append(rng.randint(0, 6))
+                for budget in budgets:
+                    if budget < 0:
+                        continue
+                    ref, _ = reference_run(prog, [], budget, policy=policy)
+                    got = run(prog, [], budget, policy=policy)
+                    assert (got.outcome, got.steps) == (ref.outcome, ref.steps), (trial, budget)
+                    for res in (got, ref):
+                        amounts = (res.consumed, res.total)
+                        if isinstance(res.outcome, (Halt, BudgetViolation)):
+                            amounts += (res.outcome.consumed, res.outcome.total)
+                        assert all(type(x) is Fraction for x in amounts), (trial, budget)
+                    assert (got.consumed, got.total) == (ref.consumed, ref.total), (trial, budget)
+                    kinds[got.kind] += 1
+                    exact_halts += got.kind == "Halt" and got.consumed == got.total > 0
+        assert set(kinds) == {"Halt", "BudgetViolation"}
+        assert min(kinds.values()) > 200 and exact_halts > 50
+
+
+class TestMalformedCode:
+    """Code the validator rejects but `run` accepts: a pc past either end of
+    the code, and instructions that no rule executes."""
+
+    @staticmethod
+    def program(*code):
+        return Program((Procedure("main", (), (), code),), "main")
+
+    @pytest.mark.parametrize(
+        "code, pc",
+        [
+            ((Instr("iconst", value=1),), 1),  # falls off the end
+            ((Instr("goto", target=99),), 99),
+            ((Instr("iconst", value=0), Instr("goto", target=-1)), -1),  # no wrap-around
+        ],
+    )
+    def test_pc_out_of_range_agrees_with_the_reference(self, code, pc):
+        prog = self.program(*code)
+        got = run(prog, [], Fraction(0))
+        ref, _ = reference_run(prog, [], Fraction(0))
+        assert (got.outcome, got.steps) == (ref.outcome, ref.steps)
+        assert got.outcome == Stuck(f"pc {pc} out of range", "main", pc)
+
+    def test_unknown_instruction_has_no_rule(self):
+        got = run(self.program(Instr("bogus")), [], Fraction(0))
+        assert got.outcome == Stuck("no rule for bogus", "main", 0)
+
+    def test_call_to_absent_procedure_sticks_when_reached(self):
+        unreached = self.program(
+            Instr("iconst", value=0), Instr("return"), Instr("call", callee="ghost")
+        )
+        assert isinstance(run(unreached, [], Fraction(0)).outcome, Halt)
+        got = run(self.program(Instr("call", callee="ghost")), [], Fraction(0))
+        assert got.outcome == Stuck("call to absent procedure ghost", "main", 0)
 
 
 class TestInputsUntouched:
