@@ -46,7 +46,6 @@ class NullTerm:
 
 
 NULL = NullTerm()
-RET = Var("ret")
 
 Term = object  # Var | IntLit | NullTerm (plus prover-internal unification vars)
 

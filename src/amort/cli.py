@@ -33,7 +33,7 @@ from .bytecode import (
 from .lp import problem_from_constraints, lp_dump, solve_lexicographic
 from .prover import Constraint, Prover, merge_constraints
 from .resources import ResourceExpr, parse_rational
-from .vcgen import VcgenError, gen_program_vcs
+from .vcgen import VcgenError, VerificationCondition, gen_program_vcs
 from . import vm
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -154,6 +154,7 @@ class AnalysisReport:
     warnings: tuple[str, ...]
     lp_pivots: int
     prover_ticks: int
+    vcs: tuple[VerificationCondition, ...]  # the proved VCs, in generation order
 
     def to_json(self) -> dict:
         return {
@@ -278,6 +279,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
         warnings=tuple(warnings),
         lp_pivots=sol.pivots,
         prover_ticks=ticks,
+        vcs=tuple(vcs),
     )
 
 
@@ -597,8 +599,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         return e.exit_code
 
     if ns.emit_vcs:
-        # re-generate for display; generation is deterministic
-        for vc in gen_program_vcs(prog):
+        for vc in report.vcs:
             print(vc, file=out)
         print(file=out)
     if ns.emit_constraints:
@@ -636,7 +637,11 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         if ns.json == "-":
             print(payload)
         else:
-            Path(ns.json).write_text(payload + "\n", encoding="utf-8")
+            try:
+                Path(ns.json).write_text(payload + "\n", encoding="utf-8")
+            except OSError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return EXIT_USAGE
     return EXIT_OK
 
 
@@ -658,8 +663,10 @@ def _load_program(name: str) -> Optional[Program]:
     """The parsed program, or None after reporting why it could not be read."""
     try:
         return parse_program_file(_resolve_path(name))
-    except FileNotFoundError as e:
+    except OSError as e:  # missing, a directory, unreadable, name too long
         print(f"error: {e}", file=sys.stderr)
+    except UnicodeDecodeError as e:
+        print(f"error: {name}: not UTF-8 text ({e})", file=sys.stderr)
     except ProgramParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
     return None

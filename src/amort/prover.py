@@ -74,10 +74,6 @@ class Constraint:
         """The expression ``lhs - rhs``, which the constraint requires >= 0."""
         return self.lhs - self.rhs
 
-    def is_trivial(self) -> bool:
-        d = self.diff()
-        return d.is_constant() and d.constant >= 0
-
     def __str__(self) -> str:
         return f"{self.lhs} >= {self.rhs}"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 ResourceValue = Fraction
 
@@ -27,15 +27,6 @@ class UnboundMetavariable(KeyError):
 
     def __str__(self) -> str:
         return f"no value bound for metavariable ${self.name}"
-
-
-def combine(a: Fraction, b: Fraction) -> Fraction:
-    """Monoid operation: resources add."""
-    return a + b
-
-
-def leq(a: Fraction, b: Fraction) -> bool:
-    return a <= b
 
 
 def res_of_int(z: int) -> Fraction:
@@ -99,15 +90,8 @@ class ResourceExpr:
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def is_constant(self) -> bool:
-        return not self.terms
-
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.terms
-
-    def is_nonnegative_syntax(self) -> bool:
-        """True when the constant and every coefficient are >= 0."""
-        return self.constant >= 0 and all(c >= 0 for _, c in self.terms)
 
     def __add__(self, other: "ResourceExpr") -> "ResourceExpr":
         m = self.coeff_map()
@@ -120,10 +104,6 @@ class ResourceExpr:
         for name, c in other.terms:
             m[name] = m.get(name, ZERO) - c
         return ResourceExpr.make(self.constant - other.constant, m)
-
-    def scale(self, k: Fraction | int) -> "ResourceExpr":
-        k = Fraction(k)
-        return ResourceExpr.make(self.constant * k, {n: c * k for n, c in self.terms})
 
     def eval(self, valuation: Mapping[str, Fraction]) -> Fraction:
         """Evaluate under a metavariable valuation; every variable must be bound."""
@@ -149,10 +129,3 @@ class ResourceExpr:
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-def sum_exprs(exprs: Iterable[ResourceExpr]) -> ResourceExpr:
-    total = ResourceExpr.const(0)
-    for e in exprs:
-        total = total + e
-    return total

@@ -1,5 +1,10 @@
 """Verification-condition generation: backwards wlp over the control graph.
 
+A forward pass first types the operand stack at each offset reachable from
+0: `_STACK_EFFECT` gives each opcode's pops and pushed type, and the
+successors come from `bytecode.successors`, the one control-flow source.
+The offsets that pass never reaches are the unreachable ones.
+
 Goals are computed per offset as functions of the symbolic operand stack
 and the symbolic locals, walking the reverse post-order so that loop
 bodies see their head's annotation as the continuation.  Each annotated
@@ -15,7 +20,7 @@ stack values appearing in a VC are fresh universally-read variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from .assertions import (
     NULL,
@@ -56,18 +61,7 @@ class VerificationCondition:
         return f"{self.vc_id}: {assertion_str(self.antecedent)}  |-  {self.consequent}"
 
 
-@dataclass(frozen=True)
-class ProcSpec:
-    params: tuple[str, ...]
-    pre: Assertion
-    post: Assertion
-
-
-def program_specs(prog: Program) -> dict[str, ProcSpec]:
-    return {
-        p.name: ProcSpec(tuple(n for n, _ in p.params), p.precondition, p.postcondition)
-        for p in prog.procedures
-    }
+ANY = "any"
 
 
 def field_types(prog: Program) -> dict[str, str]:
@@ -77,84 +71,70 @@ def field_types(prog: Program) -> dict[str, str]:
         for ins in p.code:
             if ins.desc is not None:
                 for fname, ftype in ins.desc.entries:
-                    if out.get(fname, ftype) != ftype:
-                        out[fname] = "any"
-                    else:
-                        out[fname] = ftype
+                    out[fname] = ftype if out.get(fname, ftype) == ftype else ANY
     return out
 
 
 # ---------------------------------------------------------------------------
 # forward stack layout (depth and coarse types per offset)
 
-ANY = "any"
+# (operands popped, type pushed or None) per opcode; `load`, `getfield` and
+# `call` read the pushed type or the pop count off the instruction
+_STACK_EFFECT = {
+    "iconst": (0, INT),
+    "aconst_null": (0, REF),
+    "pop": (1, None),
+    "load": (0, None),
+    "store": (1, None),
+    "ibinop": (2, INT),
+    "binarycmp": (2, None),
+    "unarycmp": (1, None),
+    "ifnull": (1, None),
+    "goto": (0, None),
+    "new": (0, REF),
+    "getfield": (1, None),
+    "putfield": (2, None),
+    "free": (1, None),
+    "consume": (0, None),
+    # rejected later by the wlp rules; keep the layout total
+    "consume_dyn": (1, None),
+    "acquire": (1, INT),
+    "call": (0, ANY),
+    "return": (1, None),
+}
 
 
-def _join(a: str, b: str) -> str:
-    return a if a == b else ANY
+def _stack_effect(
+    ins: Instr, proc: Procedure, fields: Mapping[str, str], procs: Mapping[str, Procedure]
+) -> tuple[int, Optional[str]]:
+    popped, pushed = _STACK_EFFECT[ins.op]
+    if ins.op == "load":
+        pushed = proc.local_types[ins.slot]
+    elif ins.op == "getfield":
+        pushed = fields.get(ins.field, ANY)
+    elif ins.op == "call" and ins.callee in procs:
+        popped = procs[ins.callee].arity
+    return popped, pushed
 
 
-def stack_layout(proc: Procedure, fields: Mapping[str, str], specs: Mapping[str, ProcSpec]):
-    """Type-stack (top first) for each reachable offset; depths must agree."""
+def stack_layout(
+    proc: Procedure, fields: Mapping[str, str], procs: Mapping[str, Procedure]
+) -> dict[int, tuple[str, ...]]:
+    """Type-stack (top first) for each offset reachable from 0; depths must agree."""
     code = proc.code
-    ltypes = proc.local_types
     layouts: dict[int, tuple[str, ...]] = {0: ()}
     work = [0]
-
-    def flow(i: int, tys: tuple[str, ...]) -> list[tuple[int, tuple[str, ...]]]:
-        ins = code[i]
-
-        def pop(n: int) -> tuple[str, ...]:
-            if len(tys) < n:
-                raise VcgenError(f"{proc.name}@{i}: symbolic stack underflow")
-            return tys[n:]
-
-        op = ins.op
-        if op == "iconst":
-            return [(i + 1, (INT,) + tys)]
-        if op == "aconst_null":
-            return [(i + 1, (REF,) + tys)]
-        if op == "pop":
-            return [(i + 1, pop(1))]
-        if op == "load":
-            return [(i + 1, (ltypes[ins.slot],) + tys)]
-        if op == "store":
-            return [(i + 1, pop(1))]
-        if op == "ibinop":
-            return [(i + 1, (INT,) + pop(2))]
-        if op == "binarycmp":
-            return [(i + 1, pop(2)), (ins.target, pop(2))]
-        if op == "unarycmp":
-            return [(i + 1, pop(1)), (ins.target, pop(1))]
-        if op == "ifnull":
-            return [(i + 1, pop(1)), (ins.target, pop(1))]
-        if op == "goto":
-            return [(ins.target, tys)]
-        if op == "new":
-            return [(i + 1, (REF,) + tys)]
-        if op == "getfield":
-            return [(i + 1, (fields.get(ins.field, ANY),) + pop(1))]
-        if op == "putfield":
-            return [(i + 1, pop(2))]
-        if op == "free":
-            return [(i + 1, pop(1))]
-        if op == "consume":
-            return [(i + 1, tys)]
-        if op in ("consume_dyn", "acquire"):
-            # rejected later by the wlp rules; keep the layout total
-            pushed = (INT,) if op == "acquire" else ()
-            return [(i + 1, pushed + pop(1))]
-        if op == "call":
-            arity = len(specs[ins.callee].params) if ins.callee in specs else 0
-            return [(i + 1, (ANY,) + pop(arity))]
-        if op == "return":
-            pop(1)
-            return []
-        raise VcgenError(f"{proc.name}@{i}: unknown instruction {op}")
-
     while work:
         i = work.pop()
-        for succ, tys in flow(i, layouts[i]):
+        ins = code[i]
+        if ins.op not in _STACK_EFFECT:
+            raise VcgenError(f"{proc.name}@{i}: unknown instruction {ins.op}")
+        popped, pushed = _stack_effect(ins, proc, fields, procs)
+        tys = layouts[i]
+        if len(tys) < popped:
+            raise VcgenError(f"{proc.name}@{i}: symbolic stack underflow")
+        tys = tys[popped:] if pushed is None else (pushed,) + tys[popped:]
+        for succ in successors(ins, i):
             if not (0 <= succ < len(code)):
                 raise VcgenError(f"{proc.name}@{i}: control leaves the procedure")
             if succ not in layouts:
@@ -166,7 +146,7 @@ def stack_layout(proc: Procedure, fields: Mapping[str, str], specs: Mapping[str,
                 raise VcgenError(
                     f"{proc.name}@{succ}: stack depth mismatch ({len(old)} vs {len(tys)})"
                 )
-            joined = tuple(_join(a, b) for a, b in zip(old, tys))
+            joined = tuple(a if a == b else ANY for a, b in zip(old, tys))
             if joined != old:
                 layouts[succ] = joined
                 work.append(succ)
@@ -190,17 +170,15 @@ def _instruction_wlp(
     stack: tuple,
     locals_: dict,
     fresh: Callable[[str], str],
-    specs: Mapping[str, ProcSpec],
-    post: Assertion,
-    param_names: Sequence[str],
-    operand_types: tuple[str, ...] = (),
-    where: str = "",
+    procs: Mapping[str, Procedure],
+    proc: Procedure,
+    operand_types: tuple[str, ...],
 ) -> Goal:
-    """wlp of a single instruction given goal functions for its successors."""
+    """wlp of one instruction of `proc` given goal functions for its successors."""
 
     def need(n: int):
         if len(stack) < n:
-            raise VcgenError(f"{where}@{i}: symbolic stack underflow")
+            raise VcgenError(f"{proc.name}@{i}: symbolic stack underflow")
         return stack[:n] + (stack[n:],)
 
     op = ins.op
@@ -213,7 +191,7 @@ def _instruction_wlp(
         return succ(i + 1, rest, locals_)
     if op == "load":
         if ins.slot not in locals_:
-            raise VcgenError(f"{where}@{i}: load of uninitialised local {ins.slot}")
+            raise VcgenError(f"{proc.name}@{i}: load of uninitialised local {ins.slot}")
         return succ(i + 1, (locals_[ins.slot],) + stack, locals_)
     if op == "store":
         t, rest = need(1)
@@ -274,29 +252,29 @@ def _instruction_wlp(
         return Star(charge, succ(i + 1, stack, locals_))
     if op in ("consume_dyn", "acquire"):
         raise VcgenError(
-            f"{where}@{i}: {op} is not supported by the analysis; "
+            f"{proc.name}@{i}: {op} is not supported by the analysis; "
             "use `consume` with a literal amount"
         )
     if op == "call":
-        if ins.callee not in specs:
-            raise VcgenError(f"{where}@{i}: call to unknown procedure {ins.callee!r}")
-        spec = specs[ins.callee]
-        arity = len(spec.params)
-        parts = need(arity)
-        args, rest = parts[:arity], parts[arity]
-        sub = {pname: arg for pname, arg in zip(spec.params, args)}
+        if ins.callee not in procs:
+            raise VcgenError(f"{proc.name}@{i}: call to unknown procedure {ins.callee!r}")
+        callee = procs[ins.callee]
+        params = [pname for pname, _ in callee.params]
+        parts = need(callee.arity)
+        args, rest = parts[: callee.arity], parts[callee.arity]
+        sub = {pname: arg for pname, arg in zip(params, args)}
         env_vars = sorted(
-            (assertion_free_vars(spec.pre) | assertion_free_vars(spec.post))
-            - set(spec.params)
+            (assertion_free_vars(callee.precondition) | assertion_free_vars(callee.postcondition))
+            - set(params)
             - {"ret"}
         )
         renames = {e: fresh("t") for e in env_vars}
         sub.update({e: Var(nm) for e, nm in renames.items()})
         rv = fresh("r")
-        pre = subst_assertion(spec.pre, sub)
+        pre = subst_assertion(callee.precondition, sub)
         post_sub = dict(sub)
         post_sub["ret"] = Var(rv)
-        callee_post = subst_assertion(spec.post, post_sub)
+        callee_post = subst_assertion(callee.postcondition, post_sub)
         goal: Goal = Star(
             pre,
             Forall(rv, Wand(callee_post, succ(i + 1, (Var(rv),) + rest, locals_))),
@@ -307,48 +285,11 @@ def _instruction_wlp(
     if op == "return":
         v, _rest = need(1)
         sub: dict[str, Term] = {"ret": v}
-        for slot, pname in enumerate(param_names):
+        for slot, (pname, _) in enumerate(proc.params):
             if slot in locals_:
                 sub[pname] = locals_[slot]
-        return Leaf(subst_assertion(post, sub))
-    raise VcgenError(f"{where}@{i}: unknown instruction {op}")
-
-
-def wlp(
-    ins: Instr,
-    succ: Mapping[int, Goal],
-    post: Assertion = (Clause(),),
-    specs: Optional[Mapping[str, ProcSpec]] = None,
-    stack: tuple = (),
-    locals_: Optional[dict] = None,
-    index: int = 0,
-    operand_types: tuple[str, ...] = (),
-) -> Goal:
-    """Single-instruction wlp against fixed successor goals (mainly for tests)."""
-    counter = [0]
-
-    # dotted names cannot clash with source-level identifiers
-    def fresh(base: str) -> str:
-        counter[0] += 1
-        return f"{base}.{counter[0]}"
-
-    def lookup(j: int, _stack, _locals) -> Goal:
-        if j not in succ:
-            raise VcgenError(f"missing successor goal for offset {j}")
-        return succ[j]
-
-    return _instruction_wlp(
-        ins,
-        index,
-        lookup,
-        tuple(stack),
-        dict(locals_ or {}),
-        fresh,
-        specs or {},
-        post,
-        param_names=(),
-        operand_types=operand_types,
-    )
+        return Leaf(subst_assertion(proc.postcondition, sub))
+    raise VcgenError(f"{proc.name}@{i}: unknown instruction {op}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +297,10 @@ def wlp(
 
 
 class _Generator:
-    def __init__(self, proc: Procedure, specs: Mapping[str, ProcSpec], fields: Mapping[str, str]):
+    def __init__(self, proc: Procedure, procs: Mapping[str, Procedure], fields: Mapping[str, str]):
         self.proc = proc
-        self.specs = specs
-        self.layout = stack_layout(proc, fields, specs)
+        self.procs = procs
+        self.layout = stack_layout(proc, fields, procs)
         self._memo: dict = {}
         self._fresh = 0
 
@@ -382,54 +323,41 @@ class _Generator:
         return self._memo[key]
 
     def wlp_at(self, offset: int, stack: tuple, locals_: dict) -> Goal:
-        if not (0 <= offset < len(self.proc.code)):
-            raise VcgenError(f"{self.proc.name}@{offset}: offset out of range")
-        ins = self.proc.code[offset]
         return _instruction_wlp(
-            ins,
+            self.proc.code[offset],
             offset,
             self.goal_at,
             stack,
             locals_,
             self.fresh,
-            self.specs,
-            self.proc.postcondition,
-            param_names=tuple(n for n, _ in self.proc.params),
-            operand_types=self.layout.get(offset, ()),
-            where=self.proc.name,
+            self.procs,
+            self.proc,
+            self.layout[offset],
         )
-
-
-def unreachable_offsets(proc: Procedure) -> list[int]:
-    seen = {0} if proc.code else set()
-    work = [0] if proc.code else []
-    while work:
-        u = work.pop()
-        for v in successors(proc.code[u], u):
-            if 0 <= v < len(proc.code) and v not in seen:
-                seen.add(v)
-                work.append(v)
-    return sorted(set(range(len(proc.code))) - seen)
 
 
 def gen_vcs(
     proc: Procedure,
-    specs: Mapping[str, ProcSpec],
+    procs: Mapping[str, Procedure],
     fields: Optional[Mapping[str, str]] = None,
     warnings: Optional[list] = None,
 ) -> list[VerificationCondition]:
-    """All VCs for one procedure: one per annotated offset, then the entry VC."""
-    gen = _Generator(proc, specs, fields or {})
+    """All VCs for one procedure: one per annotated offset, then the entry VC.
+
+    `procs` maps callee names to procedures.  Offsets absent from the stack
+    layout are unreachable from 0 and get no VC.
+    """
+    gen = _Generator(proc, procs, fields or {})
     order, _back = order_for_wlp(proc)
-    unreachable = set(unreachable_offsets(proc))
     if warnings is not None:
-        for off in sorted(unreachable):
-            warnings.append(f"{proc.name}@{off}: unreachable instruction (no VC generated)")
+        for off in range(len(proc.code)):
+            if off not in gen.layout:
+                warnings.append(f"{proc.name}@{off}: unreachable instruction (no VC generated)")
     vcs: list[VerificationCondition] = []
     identity_locals = {slot: Var(name) for slot, name in enumerate(proc.local_names)}
     for offset in reversed(order):
         inv = proc.invariant_at(offset)
-        if inv is None or offset in unreachable:
+        if inv is None or offset not in gen.layout:
             continue
         depth = len(gen.layout[offset])
         stack = tuple(Var(gen.fresh("s")) for _ in range(depth))
@@ -454,9 +382,9 @@ def gen_vcs(
 
 
 def gen_program_vcs(prog: Program, warnings: Optional[list] = None):
-    specs = program_specs(prog)
+    procs = {p.name: p for p in prog.procedures}
     fields = field_types(prog)
     out = []
     for proc in prog.procedures:
-        out.extend(gen_vcs(proc, specs, fields, warnings))
+        out.extend(gen_vcs(proc, procs, fields, warnings))
     return out

@@ -96,6 +96,26 @@ class TestAnalyze:
         assert run_cli("analyze", "no_such_program") == cli.EXIT_PARSE
         assert run_cli("run", "no_such_program", "--budget", "0") == cli.EXIT_PARSE
 
+    def test_directory_is_a_parse_exit(self, tmp_path, capsys):
+        assert run_cli("analyze", str(tmp_path)) == cli.EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_utf8_file_is_a_parse_exit(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.amr"
+        bad.write_bytes(b"proc f() {\xff\xfe\n")
+        for command in ("analyze", "run"):
+            assert run_cli(command, str(bad)) == cli.EXIT_PARSE
+            assert capsys.readouterr().err.startswith("error:")
+
+    def test_unwritable_json_path_is_a_usage_exit(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        assert run_cli("analyze", "queue", "--json", str(target)) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "valuation: " in captured.out  # the report was printed first
+        assert captured.err.startswith("error:")
+        assert not target.exists()
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.amr"
         bad.write_text("proc oops(\n")
@@ -124,6 +144,48 @@ entry f
     def test_proof_failure_exit(self, capsys):
         assert run_cli("analyze", "leak_list") == cli.EXIT_PROOF
         assert "leftover" in capsys.readouterr().err
+
+    def test_stack_depth_mismatch_exit(self, tmp_path, capsys):
+        # validated, but the loop head at 0 is reached at depths 0 and 1
+        src = """
+proc f() {
+  requires: ; ; 0
+  ensures: ; ; 0
+  0: iconst 1
+  1: iconst 0
+  2: unarycmp eq 0
+  3: iconst 0
+  4: return
+  invariant 0: ; ; 0
+}
+entry f
+"""
+        bad = tmp_path / "mismatch.amr"
+        bad.write_text(src)
+        assert run_cli("analyze", str(bad)) == cli.EXIT_PROOF
+        assert capsys.readouterr().err == (
+            "analysis failed: cannot generate verification conditions:"
+            " f@0: stack depth mismatch (0 vs 1)\n"
+        )
+
+    def test_stack_underflow_exit(self, tmp_path, capsys):
+        src = """
+proc f() {
+  requires: ; ; 0
+  ensures: ; ; 0
+  0: pop
+  1: iconst 0
+  2: return
+}
+entry f
+"""
+        bad = tmp_path / "underflow.amr"
+        bad.write_text(src)
+        assert run_cli("analyze", str(bad)) == cli.EXIT_PROOF
+        assert capsys.readouterr().err == (
+            "analysis failed: cannot generate verification conditions:"
+            " f@0: symbolic stack underflow\n"
+        )
 
     @pytest.mark.parametrize("name", sorted(p.stem for p in cli.CORPUS_DIR.glob("*.amr")))
     def test_listing_matches_golden(self, name, capsys):

@@ -300,7 +300,6 @@ class TestMatchResource:
         rem, cons = match_resource(R(0), R(1))
         assert rem == R(-1)
         assert cons_strs(cons) == ["0 >= 1"]
-        assert not cons[0].is_trivial()
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,34 @@ from amort.assertions import (
     Wand,
     parse_assertion,
 )
-from amort.bytecode import FieldDescriptor, Instr, parse_program, validate
+from amort.bytecode import FieldDescriptor, Instr, Procedure, parse_program, validate
 from amort.prover import Prover
 from amort.resources import ResourceExpr
-from amort.vcgen import (
-    ProcSpec,
-    VcgenError,
-    field_types,
-    gen_program_vcs,
-    gen_vcs,
-    program_specs,
-    unreachable_offsets,
-    wlp,
-)
+from amort.vcgen import VcgenError, _instruction_wlp, field_types, gen_program_vcs, gen_vcs
 
 DONE = Leaf((Clause(),))
 LIST_DESC = FieldDescriptor((("data", "int"), ("next", "ref")))
+
+
+def wlp(ins, succ, post=(Clause(),), procs=None, stack=(), locals_=None, operand_types=()):
+    """Single-instruction wlp against fixed successor goals, at offset 0 of a
+    parameterless procedure whose postcondition is `post`."""
+    counter = [0]
+
+    # dotted names cannot clash with source-level identifiers
+    def fresh(base: str) -> str:
+        counter[0] += 1
+        return f"{base}.{counter[0]}"
+
+    def lookup(j: int, _stack, _locals):
+        if j not in succ:
+            raise VcgenError(f"missing successor goal for offset {j}")
+        return succ[j]
+
+    proc = Procedure("", (), (), (ins,), postcondition=post)
+    return _instruction_wlp(
+        ins, 0, lookup, tuple(stack), dict(locals_ or {}), fresh, procs or {}, proc, operand_types
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +138,15 @@ class TestInstructionRules:
             wlp(Instr(op), {1: DONE})
 
     def test_call_frames_pre_and_post(self):
-        spec = ProcSpec(
-            params=("l",),
-            pre=parse_assertion("; lseg($a, l, null) ; 0"),
-            post=parse_assertion("; lseg($a, l, ret) ; 0"),
+        walk = Procedure(
+            "walk",
+            params=(("l", "ref"),),
+            local_decls=(),
+            code=(),
+            precondition=parse_assertion("; lseg($a, l, null) ; 0"),
+            postcondition=parse_assertion("; lseg($a, l, ret) ; 0"),
         )
-        g = wlp(Instr("call", callee="walk"), {1: DONE}, specs={"walk": spec}, stack=(Var("p"),))
+        g = wlp(Instr("call", callee="walk"), {1: DONE}, procs={"walk": walk}, stack=(Var("p"),))
         assert isinstance(g, Star)
         pre_seg = g.parts[0].heap[0]
         assert pre_seg.start == Var("p")  # param bound to the argument
@@ -206,7 +221,8 @@ class TestGenVcs:
         src = WALK.replace("10: return", "10: return\n  11: pop")
         prog = parse_program(src)
         warnings: list = []
-        vcs = gen_vcs(prog.proc("walk"), program_specs(prog), field_types(prog), warnings)
+        procs = {p.name: p for p in prog.procedures}
+        vcs = gen_vcs(prog.proc("walk"), procs, field_types(prog), warnings)
         assert any("unreachable" in w for w in warnings)
         assert [vc.vc_id for vc in vcs] == ["walk@2", "walk@entry"]
 
@@ -226,7 +242,7 @@ entry mk
         )
         assert field_types(prog) == {"data": "int", "next": "ref"}
 
-    def test_unreachable_offsets_reports_dead_tail(self):
+    def test_unreachable_instruction_warning_text(self):
         prog = parse_program(
             """
 proc f() {
@@ -240,7 +256,10 @@ proc f() {
 entry f
 """
         )
-        assert unreachable_offsets(prog.proc("f")) == [1]
+        warnings: list = []
+        vcs = gen_program_vcs(prog, warnings)
+        assert warnings == ["f@1: unreachable instruction (no VC generated)"]
+        assert [vc.vc_id for vc in vcs] == ["f@entry"]
 
     def test_back_edge_into_invariant_uses_the_annotation(self):
         # the body VC's consequent must reference the invariant, not an
@@ -250,6 +269,35 @@ entry f
         res = Prover().prove_vc(body_vc)
         assert res.ok
         assert any("$a" in str(c) for c in res.constraints)
+
+
+class TestStackLayout:
+    """Diagnostics of the forward stack typing, on API-built procedures."""
+
+    @pytest.mark.parametrize(
+        "code, message",
+        [
+            ((Instr("iconst", value=0), Instr("bogus")), "f@1: unknown instruction bogus"),
+            (
+                (Instr("iconst", value=0), Instr("unarycmp", cmp="eq", target=7), Instr("return")),
+                "f@1: control leaves the procedure",
+            ),
+            ((Instr("iconst", value=0),), "f@0: control leaves the procedure"),
+            # the operands are checked before the successors
+            ((Instr("ifnull", target=9),), "f@0: symbolic stack underflow"),
+            ((Instr("return"),), "f@0: symbolic stack underflow"),
+            # an unknown callee pops nothing here; its wlp rule rejects it
+            (
+                (Instr("call", callee="nope"), Instr("return")),
+                "f@0: call to unknown procedure 'nope'",
+            ),
+        ],
+        ids=["unknown-op", "branch-past-end", "fall-past-end", "underflow-first", "return", "call"],
+    )
+    def test_diagnostic(self, code, message):
+        with pytest.raises(VcgenError) as exc:
+            gen_vcs(Procedure("f", (), (), code), {})
+        assert str(exc.value) == message
 
 
 class TestProgramLevel:
