@@ -470,7 +470,10 @@ class PureContext:
         return self.find(t1) == self.find(t2)
 
     def unequal(self, t1, t2) -> bool:
-        r1, r2 = self.find(t1), self.find(t2)
+        return self.apart(self.find(t1), self.find(t2))
+
+    def apart(self, r1, r2) -> bool:
+        """``unequal`` on two representatives, as returned by ``find``."""
         if r1 == r2:
             return False
         if is_literal(r1) and is_literal(r2):

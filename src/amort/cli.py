@@ -154,6 +154,7 @@ class AnalysisReport:
     warnings: tuple[str, ...]
     lp_pivots: int
     prover_ticks: int
+    saturation_branches: int
     vcs: tuple[VerificationCondition, ...]  # the proved VCs, in generation order
 
     def to_json(self) -> dict:
@@ -185,8 +186,19 @@ class AnalysisReport:
             ],
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "warnings": list(self.warnings),
-            "stats": {"lp_pivots": self.lp_pivots, "prover_ticks": self.prover_ticks},
+            "stats": {
+                "lp_pivots": self.lp_pivots,
+                "prover_ticks": self.prover_ticks,
+                "saturation_branches": self.saturation_branches,
+            },
         }
+
+
+# vcgen and the prover recurse once per instruction on a straight-line path
+_TOO_DEEP = (
+    "{stage} error: a path through the program is too long to analyse"
+    " (maximum recursion depth exceeded)"
+)
 
 
 def analyze_program(prog: Program) -> AnalysisReport:
@@ -197,16 +209,22 @@ def analyze_program(prog: Program) -> AnalysisReport:
         vcs = gen_program_vcs(prog, warnings)
     except VcgenError as e:
         raise AnalysisError(EXIT_PROOF, f"cannot generate verification conditions: {e}")
+    except RecursionError:
+        raise AnalysisError(EXIT_PROOF, _TOO_DEEP.format(stage="vcgen"))
     t_vcgen = time.perf_counter() - t0
 
     prover = Prover()
     outcomes: list[VcOutcome] = []
     proved = []
-    ticks = 0
+    ticks = branches = 0
     t1 = time.perf_counter()
     for vc in vcs:
-        res = prover.prove_vc(vc)
+        try:
+            res = prover.prove_vc(vc)
+        except RecursionError:
+            raise AnalysisError(EXIT_PROOF, _TOO_DEEP.format(stage="prove"))
         ticks += res.ticks
+        branches += res.branches
         if not res.ok:
             f = res.failure
             raise AnalysisError(
@@ -279,6 +297,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
         warnings=tuple(warnings),
         lp_pivots=sol.pivots,
         prover_ticks=ticks,
+        saturation_branches=branches,
         vcs=tuple(vcs),
     )
 

@@ -13,7 +13,10 @@ Search structure:
   context: cells imply non-nullness and pairwise distinctness of their
   addresses, and inductive predicates (list segments, trees) whose head is
   decided by the pure facts get unfolded (possibly splitting the context
-  into case branches).
+  into case branches).  Branches are made lazily, one at a time, and the
+  goal is proved in each as it arrives, so a proof stops at its first
+  failing branch without building the others.  Only the cells a step
+  added are closed: the facts of the rest are already in the context.
 * matching covers each heap atom demanded by a goal clause using a cell or
   predicate instance from the context, paying per-node resource along the
   way.  Both steps read each predicate's shape (its head, stop, node fields
@@ -29,7 +32,6 @@ failure with diagnostics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -185,9 +187,15 @@ class ProofContext:
     parent's closure when the atoms are unchanged, and extends a copy of it
     by the appended atoms when they grow; a closure is never grown once
     another context may hold it.
+
+    ``closed`` counts the leading heap atoms whose cell facts (non-null
+    addresses, distinct addresses per field) ``pure`` already entails.  It
+    is 0, nothing closed, unless the deriving step says otherwise: it
+    survives changes to the pure facts and the resource and appended heap
+    atoms, and drops by one per removed atom below it.
     """
 
-    __slots__ = ("pure", "heap", "resource", "names", "_pc")
+    __slots__ = ("pure", "heap", "resource", "names", "_pc", "closed")
 
     def __init__(
         self,
@@ -196,12 +204,14 @@ class ProofContext:
         resource: ResourceExpr = ZERO_EXPR,
         names: Optional[FreshNames] = None,
         pc: Optional[PureContext] = None,
+        closed: int = 0,
     ):
         self.pure = tuple(pure)
         self.heap = tuple(heap)
         self.resource = resource
         self.names = names if names is not None else FreshNames()
         self._pc = pc  # the closure of exactly ``pure``, or None until queried
+        self.closed = closed
 
     @property
     def pc(self) -> PureContext:
@@ -209,8 +219,12 @@ class ProofContext:
             self._pc = PureContext(self.pure)
         return self._pc
 
-    def updated(self, pure=None, heap=None, resource=None, pc=None) -> "ProofContext":
-        """Derive a context; ``pc``, when given, is the closure of ``pure``."""
+    def updated(self, pure=None, heap=None, resource=None, pc=None, closed=None) -> "ProofContext":
+        """Derive a context; ``pc``, when given, is the closure of ``pure``.
+        ``closed`` is kept when the heap is, and is 0 for a new heap unless
+        given."""
+        if closed is None:
+            closed = self.closed if heap is None else 0
         if pure is None:
             pure, pc = self.pure, self._pc
         elif pc is None and self._pc is not None:
@@ -226,10 +240,15 @@ class ProofContext:
             self.resource if resource is None else resource,
             self.names,
             pc,
+            closed,
         )
 
     def without_atom(self, index: int) -> tuple:
         return self.heap[:index] + self.heap[index + 1 :]
+
+    def closed_without(self, *indices: int) -> int:
+        """``closed`` once the heap atoms at ``indices`` are removed."""
+        return self.closed - sum(i < self.closed for i in indices)
 
     def __str__(self) -> str:
         pure = ", ".join(str(a) for a in self.pure)
@@ -258,6 +277,7 @@ class ProofResult:
     constraints: ConstraintSet = ()
     failure: Optional[ProofFailure] = None
     ticks: int = 0  # units of the work budget used, a machine-independent cost
+    branches: int = 0  # case branches saturation yielded to the goal search
 
 
 class _SearchBound(Exception):
@@ -304,6 +324,7 @@ class Prover:
         self._clock = 0
         self._rigid_birth: dict[str, int] = {}
         self._best_fail: Optional[tuple[int, str]] = None
+        self._branches = 0
 
     # -- public entry points ------------------------------------------------
 
@@ -311,25 +332,27 @@ class Prover:
         self._work = self.max_work
         self._depth_cap = max(self.max_depth, len(ctx.heap) + _goal_size(goal))
         self._best_fail = None
+        self._branches = 0
         try:
             cons = self._go_saturated(ctx, goal, 0)
         except _SearchBound as e:
-            fail = ProofFailure(f"search bound exceeded ({e})", 0)
-            return ProofResult(False, (), fail, self.max_work - self._work)
-        if cons is None:
+            cons, fail = None, ProofFailure(f"search bound exceeded ({e})", 0)
+        else:
             depth, msg = self._best_fail or (0, "no applicable rule")
-            return ProofResult(False, (), ProofFailure(msg, depth), self.max_work - self._work)
-        return ProofResult(True, cons, None, self.max_work - self._work)
+            fail = ProofFailure(msg, depth) if cons is None else None
+        ticks = self.max_work - self._work
+        return ProofResult(cons is not None, cons or (), fail, ticks, self._branches)
 
     def prove_vc(self, vc) -> ProofResult:
         """Prove antecedent |- consequent; every antecedent disjunct must
         entail the goal, and the constraint sets are unioned."""
         all_cons: ConstraintSet = ()
-        ticks = 0
+        ticks = branches = 0
         for clause in vc.antecedent:
             ctx = self._context_of_clause(clause)
             res = self.prove(ctx, vc.consequent)
             ticks += res.ticks
+            branches += res.branches
             if not res.ok:
                 fail = res.failure
                 return ProofResult(
@@ -337,9 +360,10 @@ class Prover:
                     (),
                     ProofFailure(fail.message, fail.depth, getattr(vc, "vc_id", None)),
                     ticks,
+                    branches,
                 )
             all_cons = merge_constraints(all_cons, res.constraints)
-        return ProofResult(True, all_cons, None, ticks)
+        return ProofResult(True, all_cons, None, ticks, branches)
 
     def _context_of_clause(self, clause: Clause) -> ProofContext:
         # Antecedent existentials denote some fixed unknown values: introduce
@@ -416,14 +440,15 @@ class Prover:
 
     # -- saturation -----------------------------------------------------------
 
-    def saturate(self, ctx: ProofContext) -> list[ProofContext]:
+    def saturate(self, ctx: ProofContext) -> Iterator[ProofContext]:
         """Close the context under cell facts and decided segment unfoldings.
 
-        Returns the list of surviving case branches; contradictory branches
-        are pruned (a contradictory context proves anything, contributing no
-        constraints).  An empty result therefore means vacuous success.
+        Yields the surviving case branches one at a time, each as soon as
+        it is saturated, the first split branch first; a consumer that
+        stops early never builds the rest.  Contradictory branches are
+        pruned (a contradictory context proves anything, contributing no
+        constraints), so yielding nothing means vacuous success.
         """
-        out: list[ProofContext] = []
         stack = [ctx]
         while stack:
             self._tick(0)
@@ -432,21 +457,29 @@ class Prover:
                 continue
             step = self._unfold_step(c)
             if step is None:
-                out.append(c)
+                self._branches += 1
+                yield c
             else:
                 stack.extend(reversed(step))  # the first branch is popped next
-        return out
 
     def _pure_closure(self, ctx: ProofContext) -> ProofContext:
+        """Add the cell facts of the atoms past ``ctx.closed``: non-null
+        addresses of new cells, and distinct addresses for each same-field
+        pair whose later cell is new.  The facts of older cells are entailed
+        already, so this adds exactly what a scan of every pair would."""
+        heap, closed = ctx.heap, ctx.closed
+        if closed == len(heap):
+            return ctx
+        old = [a for a in heap[:closed] if isinstance(a, PointsTo)]
+        new = [a for a in heap[closed:] if isinstance(a, PointsTo)]
+        facts = [PureAtom(b.obj, "!=", NULL) for b in new]
+        # the pairs (a, b) with b new, in the order of a scan of all pairs
+        for k, a in enumerate(old + new):
+            for b in new[max(k + 1 - len(old), 0) :]:
+                if a.field == b.field:
+                    facts.append(PureAtom(a.obj, "!=", b.obj))
         pc = ctx.pc
         added = []
-        cells = [a for a in ctx.heap if isinstance(a, PointsTo)]
-        facts = [PureAtom(cell.obj, "!=", NULL) for cell in cells]
-        facts += [
-            PureAtom(a.obj, "!=", b.obj)
-            for a, b in itertools.combinations(cells, 2)
-            if a.field == b.field
-        ]
         for atom in facts:
             if not pc.entails(atom):
                 if not added:
@@ -454,30 +487,36 @@ class Prover:
                 added.append(atom)
                 pc.add(atom)
         if not added:
-            return ctx
-        return ctx.updated(pure=ctx.pure + tuple(added), pc=pc)
+            return ctx.updated(closed=len(heap))
+        return ctx.updated(pure=ctx.pure + tuple(added), pc=pc, closed=len(heap))
 
     def _unfold_step(self, ctx: ProofContext) -> Optional[list[ProofContext]]:
         """Apply the first decided unfolding, if any.  Returns the branches
         to requeue, or None when the context is fully saturated."""
         pc = ctx.pc
+        find = pc.find
+        null = find(NULL)
         for i, atom in enumerate(ctx.heap):
             if isinstance(atom, PointsTo):
                 continue
-            head, stop = atom.head, atom.stop
-            rest = ctx.without_atom(i)
-            if pc.equal(head, stop):
-                return [ctx.updated(heap=rest)]
-            if pc.equal(head, NULL):
-                eq = PureAtom(stop, "=", NULL)
-                return [ctx.updated(pure=ctx.pure + (eq,), heap=rest)]
-            if pc.unequal(head, stop):
+            head, stop = find(atom.head), find(atom.stop)
+            if head == stop:
+                return [ctx.updated(heap=ctx.without_atom(i), closed=ctx.closed_without(i))]
+            if head == null:
+                eq = PureAtom(atom.stop, "=", NULL)
+                rest = ctx.without_atom(i)
+                return [ctx.updated(pure=ctx.pure + (eq,), heap=rest, closed=ctx.closed_without(i))]
+            if pc.apart(head, stop):
                 # an instance whose head is not its stop must be a node,
                 # whether or not the head's null-ness is known yet
                 return [self._unfold_cons(ctx, i)]
-            if pc.unequal(head, NULL):
+            if pc.apart(head, null):
                 cons = self._unfold_cons(ctx, i)
-                empty = ctx.updated(pure=ctx.pure + (PureAtom(head, "=", stop),), heap=rest)
+                empty = ctx.updated(
+                    pure=ctx.pure + (PureAtom(atom.head, "=", atom.stop),),
+                    heap=ctx.without_atom(i),
+                    closed=ctx.closed_without(i),
+                )
                 return [empty, cons]
         return None
 
@@ -490,12 +529,14 @@ class Prover:
         return ctx.updated(
             heap=ctx.without_atom(i) + cells + atom.children(*values),
             resource=ctx.resource + atom.ann,
+            closed=ctx.closed_without(i),
         )
 
     # -- goal dispatch ----------------------------------------------------------
 
     def _go_saturated(self, ctx, goal, depth) -> Optional[ConstraintSet]:
-        """Saturate, then prove the goal in every surviving branch."""
+        """Prove the goal in every surviving branch, each as saturation
+        yields it; the first failing branch ends the search."""
         cons: ConstraintSet = ()
         for branch in self.saturate(ctx):
             sub = self._go(branch, goal, depth)
@@ -566,6 +607,7 @@ class Prover:
                 pure=ctx.pure + body.pure,
                 heap=ctx.heap + body.heap,
                 resource=ctx.resource + body.resource,
+                closed=ctx.closed,
             )
             sub_cons = self._go_saturated(grown, goal.rest, depth + 1)
             if sub_cons is None:
@@ -641,7 +683,8 @@ class Prover:
             t2 = self._unify(ctx, goal.value, cell.value, t1)
             if t2 is None:
                 continue
-            yield from self._match_atoms(ctx.updated(heap=ctx.without_atom(i)), tail, t2, cons, depth)
+            smaller = ctx.updated(heap=ctx.without_atom(i), closed=ctx.closed_without(i))
+            yield from self._match_atoms(smaller, tail, t2, cons, depth)
 
     def _match_pred(self, ctx, goal, tail, theta, cons, depth):
         head, stop = goal.head, goal.stop
@@ -672,6 +715,7 @@ class Prover:
                 smaller = ctx.updated(
                     heap=tuple(a for k, a in enumerate(ctx.heap) if k not in (i, j)),
                     resource=rem,
+                    closed=ctx.closed_without(i, j),
                 )
                 rest = goal.children(cell.value, cell2.value) + tail
                 yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, rcons), depth)
@@ -691,9 +735,8 @@ class Prover:
                 # because instance resources are lower bounds
                 extra = (Constraint(seg.ann, goal.ann),)
             rest = goal.absorbed(seg) + tail
-            yield from self._match_atoms(
-                ctx.updated(heap=ctx.without_atom(i)), rest, t1, merge_constraints(cons, extra), depth
-            )
+            smaller = ctx.updated(heap=ctx.without_atom(i), closed=ctx.closed_without(i))
+            yield from self._match_atoms(smaller, rest, t1, merge_constraints(cons, extra), depth)
 
     def _solve_pures(self, ctx, atoms: tuple, theta: Subst, depth: int) -> Iterator[Subst]:
         """Check the clause's pure atoms, solving for leftover existentials

@@ -19,7 +19,8 @@ snapshots it before every step, in the reference's `MachineState` form.
 `ReferencePureContext` is the rescanning pure decision procedure: it keeps
 the disequalities as a list and walks all of them on every query.
 `ReferenceProver` is the prover with its unfolding and matching rules written
-out once per inductive predicate, `lseg` and `tree` apart.
+out once per inductive predicate, `lseg` and `tree` apart, and a cell closure
+that rescans every pair of cells.
 """
 
 from __future__ import annotations
@@ -445,9 +446,11 @@ class ReferencePureContext:
 #
 # `ReferenceProver` is the prover with one set of unfolding and matching rules
 # per inductive predicate: `lseg` and `tree` each get their own unfolding
-# ladder, node peel and matcher, written out in full.  The shipped
-# `amort.prover.Prover` derives all of them from one shape per predicate, so
-# the two must agree on every saturation branch, proof result and tick.
+# ladder, node peel and matcher, written out in full, and its cell closure
+# rescans every pair of cells on every saturation step.  The shipped
+# `amort.prover.Prover` derives all of them from one shape per predicate and
+# closes only the cells a step added, so the two must agree on every
+# saturation branch, proof result and tick.
 
 
 def _resolve_heap_atom(a, theta):
@@ -461,6 +464,28 @@ def _resolve_heap_atom(a, theta):
 
 
 class ReferenceProver(Prover):
+    def _pure_closure(self, ctx: ProofContext) -> ProofContext:
+        """Every cell fact of the whole heap, each pair rescanned on every
+        call, whatever ``ctx.closed`` says."""
+        pc = ctx.pc
+        added = []
+        cells = [a for a in ctx.heap if isinstance(a, PointsTo)]
+        facts = [PureAtom(cell.obj, "!=", NULL) for cell in cells]
+        facts += [
+            PureAtom(a.obj, "!=", b.obj)
+            for a, b in itertools.combinations(cells, 2)
+            if a.field == b.field
+        ]
+        for atom in facts:
+            if not pc.entails(atom):
+                if not added:
+                    pc = pc.copy()
+                added.append(atom)
+                pc.add(atom)
+        if not added:
+            return ctx
+        return ctx.updated(pure=ctx.pure + tuple(added), pc=pc)
+
     def _unfold_step(self, ctx: ProofContext) -> Optional[list[ProofContext]]:
         """Apply the first decided unfolding, if any.  Returns the branches
         to requeue, or None when the context is fully saturated."""

@@ -498,7 +498,8 @@ def _chain_vc(k, last_end):
     """k chained segments, all known non-empty, against one collapsed goal.
 
     Proving it requires absorbing/peeling/unfolding at every level, and the
-    branch count grows exponentially with k.
+    branch count grows exponentially with k.  A near miss fails in the
+    first branch, so its search stops there.
     """
     pure = ", ".join(f"x{i} != null" for i in range(1, k + 1))
     segs = ", ".join(f"lseg($a{i}, x{i}, x{i+1})" for i in range(1, k))
@@ -516,13 +517,24 @@ def test_criterion_10_prover_termination_guard():
     assert proved_in < 10.0, f"took {proved_in:.1f}s"
     assert res.ok
     assert res.ticks == 3839  # the work the search does, on any machine
+    assert res.branches == 256  # one per empty/non-empty choice of segments 2..9
 
-    # near miss: the final endpoint is never known to be null, so every
-    # combination is explored and rejected; the search must still come back
+    # near miss: the final endpoint is never known to be null, so the first
+    # case branch already fails and the search stops there
     t0 = time.perf_counter()
     res = Prover().prove_vc(_chain_vc(8, "x9"))
     failed_in = time.perf_counter() - t0
     assert failed_in < 10.0, f"took {failed_in:.1f}s"
     assert not res.ok and res.failure is not None
-    assert res.ticks == 513
+    assert res.ticks == 11
     passed(10, f"deep chains: proved in {proved_in:.2f}s, near-miss rejected in {failed_in:.2f}s")
+
+
+@pytest.mark.parametrize("k, ticks", [(10, 13), (20, 23), (30, 33)])
+def test_chain_near_miss_stops_at_first_failing_branch(k, ticks):
+    # the first branch has every segment empty and fails; the exponentially
+    # many others are never built, so the work is linear in k
+    res = Prover().prove_vc(_chain_vc(k, f"x{k + 1}"))
+    assert not res.ok
+    assert res.failure.message == "no match for lseg(0, x1, null) in heap []"
+    assert (res.ticks, res.branches) == (ticks, 1)

@@ -88,6 +88,28 @@ class TestAnalyze:
         assert run_cli("analyze", name, "--json", "-") == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["stats"]["prover_ticks"] == self.PROVER_TICKS[name]
 
+    # case branches saturation yields per analysable corpus program; a
+    # successful proof visits every branch, so the count pins the case splits
+    SATURATION_BRANCHES = {
+        "copy_list": 9,
+        "frying_pan": 20,
+        "iterate_list": 5,
+        "iterate_recursive": 5,
+        "merge_inner": 66,
+        "queue": 30,
+        "reverse": 6,
+        "tree_copy": 10,
+        "tree_mirror": 9,
+        "tree_traverse": 7,
+    }
+
+    def test_json_reports_saturation_branches(self, capsys):
+        counts = {}
+        for name in self.SATURATION_BRANCHES:
+            assert run_cli("analyze", name, "--json", "-") == cli.EXIT_OK
+            counts[name] = json.loads(capsys.readouterr().out)["stats"]["saturation_branches"]
+        assert counts == self.SATURATION_BRANCHES
+
     def test_emit_constraints_shows_rows(self, capsys):
         assert run_cli("analyze", "iterate_list", "--emit-constraints") == cli.EXIT_OK
         assert "$x" in capsys.readouterr().out
@@ -115,6 +137,31 @@ class TestAnalyze:
         assert "valuation: " in captured.out  # the report was printed first
         assert captured.err.startswith("error:")
         assert not target.exists()
+
+    @staticmethod
+    def straight_line(tmp_path, n):
+        code = "".join(f"  {i}: consume 1\n" for i in range(n))
+        path = tmp_path / "deep.amr"
+        path.write_text(
+            "proc main() {\n  requires: ; ; $a\n  ensures: ; ; 0\n"
+            f"{code}  {n}: iconst 0\n  {n + 1}: return\n}}\nentry main\n"
+        )
+        return str(path)
+
+    def test_too_deep_for_vcgen_is_a_proof_exit(self, tmp_path, capsys):
+        # vcgen recurses once per instruction of a straight-line path
+        assert run_cli("analyze", self.straight_line(tmp_path, 400)) == cli.EXIT_PROOF
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: vcgen error: ") and "Traceback" not in err
+        assert "maximum recursion depth exceeded" in err
+
+    def test_too_deep_for_the_prover_is_a_proof_exit(self, tmp_path, capsys, monkeypatch):
+        def overflow(self, vc):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli.Prover, "prove_vc", overflow)
+        assert run_cli("analyze", self.straight_line(tmp_path, 3)) == cli.EXIT_PROOF
+        assert capsys.readouterr().err.startswith("analysis failed: prove error: ")
 
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.amr"

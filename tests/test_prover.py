@@ -67,7 +67,7 @@ def match_heap(ctx, goal_sigma):
 class TestSaturate:
     def test_nonnull_head_unfolds_one_cell(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (ListSeg(R(1), x, NULL),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         kinds = sorted(type(a).__name__ for a in branch.heap)
         assert kinds == ["ListSeg", "PointsTo", "PointsTo"]
         assert branch.resource == R(1)
@@ -76,7 +76,7 @@ class TestSaturate:
 
     def test_cells_imply_distinctness_and_nonnull(self):
         ctx = ProofContext((), (PointsTo(x, "f", Var("a")), PointsTo(y, "f", Var("b"))))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         pc = branch.pc
         assert pc.unequal(x, NULL)
         assert pc.unequal(y, NULL)
@@ -84,29 +84,29 @@ class TestSaturate:
 
     def test_different_fields_do_not_imply_distinctness(self):
         ctx = ProofContext((), (PointsTo(x, "next", y), PointsTo(x, "data", d)))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         assert not branch.pc.contradictory()
 
     def test_equal_endpoints_drop_segment(self):
         ctx = ProofContext((), (ListSeg(R(1), x, x),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         assert branch.heap == ()
         assert branch.resource == R(0)
 
     def test_null_head_forces_null_end(self):
         ctx = ProofContext((PureAtom(x, "=", NULL),), (ListSeg(R(1), x, y),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         assert branch.heap == ()
         assert branch.pc.equal(y, NULL)
 
     def test_undecided_head_stays_folded(self):
         ctx = ProofContext((), (ListSeg(V("a"), x, NULL),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         assert branch.heap == ctx.heap
 
     def test_nonnull_head_unknown_end_branches(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (ListSeg(R(1), x, y),))
-        branches = Prover().saturate(ctx)
+        branches = list(Prover().saturate(ctx))
         assert len(branches) == 2
         empty, cons = branches
         assert empty.heap == () and empty.pc.equal(x, y)
@@ -117,7 +117,7 @@ class TestSaturate:
         # x != y alone means the segment is non-empty, even though nothing
         # is yet known about whether x is null
         ctx = ProofContext((PureAtom(x, "!=", y),), (ListSeg(R(1), x, y),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         cells = [a for a in branch.heap if isinstance(a, PointsTo)]
         assert {c.field for c in cells} == {"next", "data"}
         assert branch.resource == R(1)
@@ -126,11 +126,11 @@ class TestSaturate:
     def test_contradictory_branch_pruned(self):
         # a cell at a null address is impossible, so no branch survives
         ctx = ProofContext((PureAtom(x, "=", NULL),), (PointsTo(x, "f", y),))
-        assert Prover().saturate(ctx) == []
+        assert list(Prover().saturate(ctx)) == []
 
     def test_tree_unfolds_when_root_nonnull(self):
         ctx = ProofContext((PureAtom(x, "!=", NULL),), (TreeSeg(V("t"), x),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         trees = [a for a in branch.heap if isinstance(a, TreeSeg)]
         cells = [a for a in branch.heap if isinstance(a, PointsTo)]
         assert len(trees) == 2 and len(cells) == 2
@@ -139,7 +139,7 @@ class TestSaturate:
 
     def test_tree_null_root_dropped(self):
         ctx = ProofContext((PureAtom(x, "=", NULL),), (TreeSeg(R(2), x),))
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         assert branch.heap == ()
 
     def test_unfolding_cascades_through_decided_tails(self):
@@ -148,7 +148,7 @@ class TestSaturate:
             (PureAtom(x, "!=", NULL), PureAtom(x, "!=", y)),
             (ListSeg(R(1), x, y),),
         )
-        (branch,) = Prover().saturate(ctx)
+        (branch,) = list(Prover().saturate(ctx))
         segs = [a for a in branch.heap if isinstance(a, ListSeg)]
         assert len(segs) == 1 and segs[0].end == y
 
@@ -195,7 +195,7 @@ class TestSharedClosures:
             (ListSeg(R(1), x, y), PointsTo(z, "next", d)),
         )
         ctx.pc
-        empty, cons = Prover().saturate(ctx)
+        empty, cons = list(Prover().saturate(ctx))
         assert empty.pc.equal(x, y) and cons.pc.unequal(x, z)
         self.assert_answers_own_atoms(ctx, empty, cons)
 
@@ -560,6 +560,15 @@ class TestReferenceProver:
         )
         return pure, heap, resource, goal
 
+    def clause_over(self, rng, cells):
+        # some of the context's cells, then random atoms: a match takes
+        # cells, and assuming a cell it took keeps the context consistent
+        # while assuming one it left contradicts it
+        taken = tuple(rng.sample(cells, min(len(cells), rng.randint(0, 2))))
+        more = self.random_heap(rng, self.TERMS, rng.randint(0, 3), [a.obj for a in cells])
+        facts = self.random_pure(rng, self.TERMS, rng.randint(0, 1))
+        return Clause((), facts, taken + more, rng.choice(self.ANNS))
+
     @staticmethod
     def branches(prover, ctx):
         return [(c.pure, c.heap, c.resource) for c in prover.saturate(ctx)]
@@ -597,3 +606,22 @@ class TestReferenceProver:
             seen["ok" if res.ok else "failed"] += 1
             seen["matched"] += bool(got[0])
         assert min(seen.values()) >= 100, seen
+
+    def test_agrees_when_resaturating_after_a_match(self):
+        # match part of the heap, assume more atoms, then match the rest:
+        # the second saturation starts from a context whose surviving atoms
+        # are closed already, and must add exactly what a rescan adds
+        rng = random.Random(12)
+        seen = {"ok": 0, "failed": 0}
+        for case in range(3000):
+            pure, heap, resource, _ = self.random_case(rng)
+            cells = [a for a in heap if isinstance(a, PointsTo)]
+            first, hyp = self.clause_over(rng, cells), self.clause_over(rng, cells)
+            second = self.random_case(rng)[3]
+            goal = Star((first,), Wand((hyp,), Leaf((second,))))
+            ctx = functools.partial(ProofContext, pure, heap, resource)
+            res = Prover().prove(ctx(), goal)
+            want = ReferenceProver().prove(ctx(), goal)
+            assert self.outcome(res) == self.outcome(want), f"case {case}: {ctx()} |- {goal}"
+            seen["ok" if res.ok else "failed"] += 1
+        assert min(seen.values()) >= 500, seen
