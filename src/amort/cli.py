@@ -553,9 +553,10 @@ def cmd_check(ns: argparse.Namespace) -> int:
     code, prog = _load_validated(ns.file)
     if prog is None:
         return code
-    if ns.max_size < 0:
-        print(f"error: --max-size must be nonnegative, got {ns.max_size}", file=sys.stderr)
-        return EXIT_USAGE
+    for flag, value in (("--max-size", ns.max_size), ("--fuel", ns.fuel)):
+        if value < 0:
+            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         report = analyze_program(prog)
     except AnalysisError as e:

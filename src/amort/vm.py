@@ -9,15 +9,18 @@ supplied policy.
 Values are Python ints, `Addr` objects, or None for null.  Heaps map
 (address, field name) pairs to values.
 
-There is one machine, one rule per instruction and one driver.  Each rule
-is an in-place update of the machine: a heap dict, and a list of frames,
-each with a list stack (top at the end), a locals dict and a pc.  `run`
-copies the caller's heap once into a fresh machine and decodes each
-procedure once: its code becomes a list of (rule, operand) pairs taken
-from `_RULES`, with the operand read off the instruction in advance (a
-`call` carries its callee's decoded code and arity).  `_drive` applies
-the pairs to the machine, so a step costs the same at any heap size or
-call depth.
+There is one machine, one rule per instruction and one driver.  The
+machine is a heap dict and a list of frames, each with a list stack (top
+at the end), a locals dict and a pc.  `run` copies the caller's heap once
+into a fresh machine and decodes each procedure once: its code becomes a
+list of (rule, operand) pairs taken from `_RULES`, with the operand read
+off the instruction in advance (a `call` carries its callee's decoded code
+and arity).  `_drive` holds the active frame's code, stack, locals and pc
+in local variables and applies the pairs: a rule updates the stack,
+locals and heap in place and returns the next pc, so a step costs the
+same at any heap size or call depth.  Only `call`, `return` and a budget
+overdraw touch the frame list or end the run; they save the pc into the
+frame themselves and return None, and the driver reloads the active frame.
 
 The machine counts consumed and total allowed as integers in units of
 1/scale, where scale is the lcm of the budget's denominator and of every
@@ -38,9 +41,26 @@ from .bytecode import Instr, Program
 from .resources import ResourceValue, res_of_int
 
 
-@dataclass(frozen=True)
 class Addr:
-    index: int
+    """A heap address: equal to, and hashed as, any other `Addr` with the
+    same index.  Every heap access hashes its (address, field) key, so the
+    hash is the index itself.  `index` is never reassigned."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other):
+        if isinstance(other, Addr):
+            return self.index == other.index
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self.index
+
+    def __repr__(self) -> str:
+        return f"Addr(index={self.index})"
 
     def __str__(self) -> str:
         return f"a{self.index}"
@@ -164,16 +184,19 @@ class _Frame:
 class _Machine:
     """The live state of a run: heap, frames (active last), consumed and total
     allowed as integers in units of 1/`scale`, the next fresh address and the
-    number of `acquire` requests so far, plus the acquisition policy."""
+    number of `acquire` requests so far, plus the acquisition policy.  A
+    terminal outcome (`Halt`, `BudgetViolation`) is recorded in `outcome`."""
 
     __slots__ = (
-        "policy", "heap", "frames", "consumed", "total", "scale", "next_addr", "acquire_count"
+        "policy", "heap", "frames", "consumed", "total", "scale", "next_addr", "acquire_count",
+        "outcome",
     )
 
     def __init__(self, policy, heap, frames, consumed, total, scale, next_addr, acquire_count):
         self.policy, self.heap, self.frames = policy, heap, frames
         self.consumed, self.total, self.scale = consumed, total, scale
         self.next_addr, self.acquire_count = next_addr, acquire_count
+        self.outcome = None
 
     def amounts(self) -> tuple[ResourceValue, ResourceValue]:
         """(consumed, total allowed) as exact resource amounts."""
@@ -221,106 +244,105 @@ _ALU = {
 }
 
 
-# Each rule takes (machine, active frame, decoded operand), updates them in
-# place and returns None, or a terminal outcome; it raises _StuckSignal,
-# before touching the budget, when no rule applies.
+# Each rule takes (machine, active frame's stack, its locals, decoded
+# operand, pc), updates them in place and returns the next pc.  `call`,
+# `return` and a budget overdraw instead save the pc into the frame, switch
+# frames or record a terminal outcome on the machine, and return None.  A
+# rule raises _StuckSignal, before touching the budget, when none applies.
 
 
-def _iconst(m, f, value):
-    f.stack.append(value)
-    f.pc += 1
+def _iconst(m, stack, locals_, value, pc):
+    stack.append(value)
+    return pc + 1
 
 
-def _aconst_null(m, f, _):
-    f.stack.append(None)
-    f.pc += 1
+def _aconst_null(m, stack, locals_, _, pc):
+    stack.append(None)
+    return pc + 1
 
 
-def _pop_rule(m, f, _):
-    if not f.stack:
+def _pop_rule(m, stack, locals_, _, pc):
+    if not stack:
         raise _StuckSignal("stack underflow")
-    f.stack.pop()
-    f.pc += 1
+    stack.pop()
+    return pc + 1
 
 
-def _load(m, f, slot):
+def _load(m, stack, locals_, slot, pc):
     try:
-        v = f.locals[slot]
+        stack.append(locals_[slot])
     except KeyError:
         raise _StuckSignal(f"load of uninitialised local {slot}") from None
-    f.stack.append(v)
-    f.pc += 1
+    return pc + 1
 
 
-def _store(m, f, slot):
-    if not f.stack:
+def _store(m, stack, locals_, slot, pc):
+    if not stack:
         raise _StuckSignal("stack underflow")
-    f.locals[slot] = f.stack.pop()
-    f.pc += 1
+    locals_[slot] = stack.pop()
+    return pc + 1
 
 
-def _ibinop(m, f, operand):
+def _ibinop(m, stack, locals_, operand, pc):
     alu, fn = operand
-    z1, z2 = _pop2(f.stack)
+    z1, z2 = _pop2(stack)
     if not (isinstance(z1, int) and isinstance(z2, int)):
         raise _StuckSignal(f"ibinop {alu} on non-integer operands")
     if alu in ("div", "rem") and z2 == 0:
         raise _StuckSignal("division by zero")
-    f.stack.append(fn(z1, z2))
-    f.pc += 1
+    stack.append(fn(z1, z2))
+    return pc + 1
 
 
-def _binarycmp(m, f, operand):
+def _binarycmp(m, stack, locals_, operand, pc):
     cmp, fn, target = operand
-    z1, z2 = _pop2(f.stack)
+    z1, z2 = _pop2(stack)
     ints = isinstance(z1, int) and isinstance(z2, int)
     if cmp in ("eq", "ne"):
         if not (ints or (is_ref(z1) and is_ref(z2))):
             raise _StuckSignal(f"binarycmp {cmp} on mixed operand types")
     elif not ints:
         raise _StuckSignal(f"binarycmp {cmp} requires integer operands")
-    f.pc = target if fn(z1, z2) else f.pc + 1
+    return target if fn(z1, z2) else pc + 1
 
 
-def _unarycmp(m, f, operand):
+def _unarycmp(m, stack, locals_, operand, pc):
     cmp, fn, target = operand
-    z = _pop(f.stack)
+    z = _pop(stack)
     if not isinstance(z, int):
         raise _StuckSignal(f"unarycmp {cmp} requires an integer operand")
-    f.pc = target if fn(z, 0) else f.pc + 1
+    return target if fn(z, 0) else pc + 1
 
 
-def _ifnull(m, f, target):
-    if not f.stack:
+def _ifnull(m, stack, locals_, target, pc):
+    if not stack:
         raise _StuckSignal("stack underflow")
-    a = f.stack.pop()
+    a = stack.pop()
     if a is None:
-        f.pc = target
-    elif isinstance(a, Addr):
-        f.pc += 1
-    else:
-        raise _StuckSignal("ifnull on an integer operand")
+        return target
+    if isinstance(a, Addr):
+        return pc + 1
+    raise _StuckSignal("ifnull on an integer operand")
 
 
-def _goto(m, f, target):
-    f.pc = target
+def _goto(m, stack, locals_, target, pc):
+    return target
 
 
 _DEFAULTS = {"int": 0, "ref": None}
 
 
-def _new(m, f, cells):
+def _new(m, stack, locals_, cells, pc):
     a = Addr(m.next_addr)
     m.next_addr += 1
     heap = m.heap
     for fname, default in cells:
         heap[(a, fname)] = default
-    f.stack.append(a)
-    f.pc += 1
+    stack.append(a)
+    return pc + 1
 
 
-def _getfield(m, f, field):
-    stack = f.stack
+def _getfield(m, stack, locals_, field, pc):
     if not stack:
         raise _StuckSignal("stack underflow")
     a = stack[-1]
@@ -330,22 +352,23 @@ def _getfield(m, f, field):
         stack[-1] = m.heap[(a, field)]
     except KeyError:
         raise _StuckSignal(f"getfield {field}: cell absent at {a}") from None
-    f.pc += 1
+    return pc + 1
 
 
-def _putfield(m, f, field):
-    a, v = _pop2(f.stack)
+def _putfield(m, stack, locals_, field, pc):
+    a, v = _pop2(stack)
     if not isinstance(a, Addr):
         raise _StuckSignal(f"putfield {field} on {value_str(a)}")
     cell = (a, field)
-    if cell not in m.heap:
+    heap = m.heap
+    if cell not in heap:
         raise _StuckSignal(f"putfield {field}: cell absent at {a}")
-    m.heap[cell] = v
-    f.pc += 1
+    heap[cell] = v
+    return pc + 1
 
 
-def _free(m, f, fields):
-    a = _pop(f.stack)
+def _free(m, stack, locals_, fields, pc):
+    a = _pop(stack)
     if not isinstance(a, Addr):
         raise _StuckSignal(f"free on {value_str(a)}")
     heap = m.heap
@@ -354,70 +377,76 @@ def _free(m, f, fields):
         raise _StuckSignal(f"free at {a}: field {missing[0]} absent")
     for fname in fields:
         del heap[(a, fname)]
-    f.pc += 1
+    return pc + 1
 
 
 # consumed <= total holds until a charge overdraws it (it holds at the start,
 # and `acquire` only raises the total), so charging 0 needs no test of its
-# own.  A violation ends the run, so its rule leaves the pc where it was.
+# own.  A violation ends the run, so the active frame keeps the pc it has.
 
 
-def _consume(m, f, amount):
+def _overdraw(m, pc):
+    f = m.frames[-1]
+    f.pc = pc
+    m.outcome = BudgetViolation(f.proc, pc, *m.amounts())
+
+
+def _consume(m, stack, locals_, amount, pc):
     m.consumed += amount
     if m.consumed > m.total:
-        return BudgetViolation(f.proc, f.pc, *m.amounts())
-    f.pc += 1
+        return _overdraw(m, pc)
+    return pc + 1
 
 
-def _consume_dyn(m, f, _):
-    z = _pop(f.stack)
+def _consume_dyn(m, stack, locals_, _, pc):
+    z = _pop(stack)
     if not isinstance(z, int):
         raise _StuckSignal("consume_dyn requires an integer operand")
     if z > 0:
         m.consumed += z * m.scale
         if m.consumed > m.total:
-            return BudgetViolation(f.proc, f.pc, *m.amounts())
-    f.pc += 1
+            return _overdraw(m, pc)
+    return pc + 1
 
 
-def _acquire(m, f, _):
-    z = _pop(f.stack)
+def _acquire(m, stack, locals_, _, pc):
+    z = _pop(stack)
     if not isinstance(z, int):
         raise _StuckSignal("acquire requires an integer operand")
     granted = m.policy.decide(m.acquire_count, res_of_int(z))
     m.acquire_count += 1
     if granted and z > 0:
         m.total += z * m.scale
-    f.stack.append(1 if granted else 0)
-    f.pc += 1
+    stack.append(1 if granted else 0)
+    return pc + 1
 
 
-def _call(m, f, operand):
+def _call(m, stack, locals_, operand, pc):
     callee, code, n = operand
-    stack = f.stack
     if len(stack) < n:
         raise _StuckSignal(f"call {callee}: stack underflow")
     # the top of the stack becomes local 0
-    locals_ = {}
+    callee_locals = {}
     for i in range(n):
-        locals_[i] = stack.pop()
-    f.pc += 1
-    m.frames.append(_Frame(callee, code, [], locals_, 0))
+        callee_locals[i] = stack.pop()
+    frames = m.frames
+    frames[-1].pc = pc + 1
+    frames.append(_Frame(callee, code, [], callee_locals, 0))
 
 
-def _return(m, f, _):
-    if not f.stack:
+def _return(m, stack, locals_, _, pc):
+    if not stack:
         raise _StuckSignal("return with an empty stack")
-    v = f.stack[-1]
+    v = stack[-1]
     frames = m.frames
     frames.pop()
-    if not frames:
-        return Halt(m.heap, *m.amounts(), v)
-    frames[-1].stack.append(v)
-    return None
+    if frames:
+        frames[-1].stack.append(v)
+    else:
+        m.outcome = Halt(m.heap, *m.amounts(), v)
 
 
-def _stuck(m, f, reason):
+def _stuck(m, stack, locals_, reason, pc):
     raise _StuckSignal(reason)
 
 
@@ -491,23 +520,34 @@ def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
     """Apply rules until a terminal outcome or `fuel` steps.
 
     Returns (outcome, steps), with outcome None when the fuel ran out.
+    While it runs, the active frame's code, stack, locals and pc live in
+    local variables; they are reloaded from `m.frames` after a rule returns
+    None (a call, a return or an overdraw).  On every exit the pc is back
+    in its frame, so the machine is whole between calls and `_drive(m, 1)`
+    steps it one rule at a time.
     """
     frames = m.frames
+    f = frames[-1]
+    code, stack, locals_, pc = f.code, f.stack, f.locals, f.pc
     try:
         for steps in range(1, fuel + 1):
-            f = frames[-1]
-            pc = f.pc
             if pc < 0:  # as a list index it would count from the end
                 raise _StuckSignal(f"pc {pc} out of range")
             try:
-                rule, operand = f.code[pc]
+                rule, operand = code[pc]
             except IndexError:
                 raise _StuckSignal(f"pc {pc} out of range") from None
-            outcome = rule(m, f, operand)
-            if outcome is not None:
-                return outcome, steps
+            nxt = rule(m, stack, locals_, operand, pc)
+            if nxt is None:
+                if m.outcome is not None:
+                    return m.outcome, steps
+                f = frames[-1]
+                code, stack, locals_, nxt = f.code, f.stack, f.locals, f.pc
+            pc = nxt
     except _StuckSignal as s:
+        f.pc = pc
         return Stuck(s.reason, f.proc, pc), steps
+    f.pc = pc
     return None, fuel
 
 

@@ -316,10 +316,11 @@ class TestCheck:
         assert captured.err.startswith("error:")
 
     def test_negative_fuel_is_a_usage_error(self, capsys):
-        assert run_cli("check", "iterate_list", "--fuel", "-5") == cli.EXIT_USAGE
+        # rejected before the analysis runs and the header is printed
+        assert run_cli("check", "iterate_list", "--fuel", "-1") == cli.EXIT_USAGE
         captured = capsys.readouterr()
-        assert "no budget violations" not in captured.out
-        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert captured.err == "error: --fuel must be nonnegative, got -1\n"
 
 
 class ClosedPipe:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from amort import vm
+from amort import cli, vm
 from amort.bytecode import (
     FieldDescriptor,
     Instr,
@@ -55,7 +55,9 @@ def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False)
     rule, operand = vm._decode(ins, {}, scale)
     f = vm._Frame("f", [], list(reversed(stack)), dict(locals_ or {}), 0)
     m = vm._Machine(AcquisitionPolicy(decide), dict(heap or {}), [f], 0, 0, scale, next_addr, 0)
-    rule(m, f, operand)
+    pc = rule(m, f.stack, f.locals, operand, f.pc)
+    if pc is not None:  # a call, return or overdraw saved its own
+        f.pc = pc
     return snapshot(m), requests
 
 
@@ -611,6 +613,73 @@ class TestRationalAccounting:
                     exact_halts += got.kind == "Halt" and got.consumed == got.total > 0
         assert set(kinds) == {"Halt", "BudgetViolation"}
         assert min(kinds.values()) > 200 and exact_halts > 50
+
+
+class TestFuelSweep:
+    """Every fuel value from 0 to one past the halting step: `run` and the
+    stepped machine stop where the reference stops, mid-call and mid-loop
+    too, and the stepped machine's states match the reference's."""
+
+    @staticmethod
+    def sweep(prog, inputs, budget, policy):
+        args, heap, next_addr, _ = inputs
+        full, _ = reference_run(prog, args, budget, policy=policy, heap=heap, next_addr=next_addr)
+        assert full.kind == "Halt"
+        for k in range(full.steps + 2):
+            assert agree(prog, inputs, budget, policy, fuel=k) == (
+                "FuelExhausted" if k < full.steps else "Halt"
+            ), k
+
+    @pytest.mark.parametrize("name", ["tree_mirror", "copy_list"])
+    def test_corpus_program(self, name):
+        prog, sized = sized_inputs(name)
+        inputs = sized[3]
+        self.sweep(prog, inputs, inputs[3], ALWAYS_DENY)
+
+    # seeds whose program calls the helper, loops and acquires
+    @pytest.mark.parametrize("seed", [2, 11, 17])
+    def test_rational_program(self, seed):
+        prog = rational_program(random.Random(seed))
+        self.sweep(prog, ([], None, 0, None), Fraction(10**6), AcquisitionPolicy.seeded(seed))
+
+
+class TestAddrValues:
+    """Addresses are values: equal by index, hashed by index, and never
+    equal to an integer or a tuple."""
+
+    def test_equal_and_same_hash(self):
+        a, b = Addr(3), Addr(3)
+        assert a is not b
+        assert a == b and not (a != b)
+        assert hash(a) == hash(b)
+        assert Addr(3) != Addr(4)
+        assert len({Addr(3), Addr(3), Addr(4)}) == 2
+
+    def test_fresh_address_finds_a_built_cell(self):
+        _, sized = sized_inputs("iterate_list")
+        _, heap, next_addr, _ = sized[5]
+        assert next_addr >= 5
+        for i in range(5):
+            fresh = Addr(i)
+            assert fresh is not cli._ADDRS[i]
+            assert (fresh, "next") in heap
+            assert heap[(fresh, "next")] == heap[(cli._ADDRS[i], "next")]
+
+    def test_not_equal_to_int_or_tuple(self):
+        assert Addr(3) != 3 and not (Addr(3) == 3)
+        assert Addr(3) != (3,) and not (Addr(3) == (3,))
+        assert 3 != Addr(3)
+
+    def test_str_and_repr(self):
+        assert str(Addr(3)) == "a3"
+        assert repr(Addr(3)) == "Addr(index=3)"
+        assert Addr(3).index == 3
+
+    def test_arithmetic_and_integer_tests_on_an_address_stick(self):
+        with pytest.raises(_StuckSignal, match="ibinop add on non-integer operands"):
+            step_frame(Instr("ibinop", alu="add"), stack=[1, Addr(1)])
+        with pytest.raises(_StuckSignal, match="unarycmp eq requires an integer operand"):
+            step_frame(Instr("unarycmp", cmp="eq", target=4), stack=[Addr(0)])
 
 
 class TestMalformedCode:
