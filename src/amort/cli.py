@@ -20,10 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .assertions import Clause, ListSeg, PointsTo, TreeSeg, Var, assertion_str
+from .assertions import Clause, IntLit, ListSeg, PointsTo, TreeSeg, Var, assertion_str
 from .bytecode import (
     INT,
-    REF,
     Procedure,
     Program,
     ProgramParseError,
@@ -303,7 +302,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# input builders: concrete heaps matching the precondition shapes
+# input builder: a concrete model of the entry precondition
 
 
 # Built heaps take their addresses and cell keys from these shared tables.
@@ -328,71 +327,97 @@ def _keys(field: str, start: int, n: int) -> list:
     return keys[start : start + n]
 
 
-def _need_size(what: str, n: int) -> None:
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
+def _value(term, env: dict):
+    """The concrete value of a term; an unbound variable is null."""
+    if isinstance(term, Var):
+        return env.get(term.name)
+    return term.value if isinstance(term, IntLit) else None
 
 
-def build_list(n: int, next_addr: int = 0, data: Optional[Sequence[int]] = None):
-    """A null-terminated list of n nodes; returns (head, heap, next_addr)."""
-    _need_size("the list length", n)
-    values = list(data) if data is not None else [(i * 37 + 11) % 64 - 17 for i in range(n)]
-    addrs = _addrs(next_addr, n)
-    heap: dict = {}
-    for i, (kd, kn) in enumerate(zip(_keys("data", next_addr, n), _keys("next", next_addr, n))):
-        heap[kd] = values[i]
-        heap[kn] = addrs[i + 1] if i + 1 < n else None
-    head = addrs[0] if addrs else None
-    return head, heap, next_addr + n
+def _unbound(term, env: dict) -> bool:
+    return isinstance(term, Var) and term.name not in env
 
 
-def build_tree(n: int, next_addr: int = 0):
-    """A complete binary tree of n nodes; returns (root, heap, next_addr)."""
-    _need_size("the tree size", n)
-    addrs = _addrs(next_addr, n)
-    heap: dict = {}
-    for i, (kl, kr) in enumerate(zip(_keys("left", next_addr, n), _keys("right", next_addr, n))):
-        left, right = 2 * i + 1, 2 * i + 2
-        heap[kl] = addrs[left] if left < n else None
-        heap[kr] = addrs[right] if right < n else None
-    root = addrs[0] if addrs else None
-    return root, heap, next_addr + n
+def build_model(
+    entry: Procedure, counts: Sequence[int], ints: Sequence[int], data: Sequence[int] = ()
+) -> tuple:
+    """(args, heap, next_addr): a model of the entry precondition's first clause.
 
-
-def build_pan(handle: int, pan: int, next_addr: int = 0):
-    """A cyclic-tailed ("frying pan") list; returns (head, join, heap, next_addr).
-
-    `handle` counts the nodes from the head up to and including the join
-    (so handle >= 1); `pan` counts the remaining nodes of the cycle.  The
-    join's next pointer enters the pan and the last pan node points back
-    at the join.
+    `counts` holds the nodes of each lseg/tree instance in atom order (a
+    single count stands for every instance), and `ints` the values of the
+    int parameters in order.  Heads take addresses in atom order: an
+    instance of n > 0 nodes n consecutive ones, and a `pt` head one, shared
+    by every `pt` on it, unless an instance's first node is there.  An empty
+    instance's head is its stop, and any other unbound variable is null.
+    The data of list node i (by index in its instance) is `data[i]`, and a
+    formula of i past the end of `data`; trees are complete.  Raises
+    ValueError when a count is negative or the clause rules the counts out.
     """
-    if handle < 1:
-        raise ValueError("the handle must contain at least the join node")
-    _need_size("the pan", pan)
-    total = handle + pan
-    addrs = _addrs(next_addr, total)
-    join = addrs[handle - 1]
+    clause = entry.precondition[0]
+    instances = classify_inputs(entry)
+    for n in counts:
+        if n < 0:
+            raise ValueError(f"a node count must be nonnegative, got {n}")
+    if len(counts) == 1:
+        counts = list(counts) * len(instances)
+    elif len(counts) != len(instances):
+        raise ValueError(
+            f"{len(counts)} node counts for {len(instances)} lseg/tree instances in {entry.name}"
+        )
+    env = dict(zip((name for name, ty in entry.params if ty == INT), ints))
+    # a `pt` on the first node of a non-empty instance takes that node's address
+    firsts = {a.head for a, n in zip(instances, counts) if n > 0}
+    sizes = iter(counts)
+    nodes, empty = [], []
+    next_addr = 0
+    for atom in clause.heap:
+        pt = isinstance(atom, PointsTo)
+        head, n = (atom.obj, 1) if pt else (atom.head, next(sizes))
+        if n == 0:
+            empty.append(atom)
+        elif _unbound(head, env) and not (pt and head in firsts):
+            env[head.name] = _addrs(next_addr, 1)[0]
+            nodes.append((atom, next_addr, n))
+            next_addr += n
+        elif not pt:
+            raise ValueError(f"{atom} needs fresh nodes, but {head} is already bound")
+    # an empty instance binds its head to its stop once the stop is bound
+    while ready := [a for a in empty if _unbound(a.head, env) and not _unbound(a.stop, env)]:
+        for atom in ready:
+            env[atom.head.name] = _value(atom.stop, env)
+
+    # a node's cells go in one after the other, since the VM reads them together
     heap: dict = {}
-    cells = zip(_keys("data", next_addr, total), _keys("next", next_addr, total))
-    for i, (kd, kn) in enumerate(cells):
-        heap[kd] = i
-        heap[kn] = addrs[i + 1] if i + 1 < total else join
-    return addrs[0], join, heap, next_addr + total
-
-
-def build_queue(n: int, next_addr: int = 0):
-    """A two-list queue record with n nodes in each list.
-
-    Returns (queue_ref, heap, next_addr)."""
-    _need_size("the queue size", n)
-    q = vm.Addr(next_addr)
-    head, heap, nxt = build_list(n, next_addr + 1)
-    tail, tail_heap, nxt = build_list(n, nxt)
-    heap.update(tail_heap)
-    heap[(q, "head")] = head
-    heap[(q, "tail")] = tail
-    return q, heap, nxt
+    for atom, start, n in nodes:
+        if isinstance(atom, ListSeg):  # node i's next is node i + 1, and the last one's the stop
+            nexts = _addrs(start + 1, n - 1) + [_value(atom.stop, env)]
+            values = list(data[:n]) + [(i * 37 + 11) % 64 - 17 for i in range(len(data), n)]
+            cells = zip(_keys("data", start, n), _keys("next", start, n), values, nexts)
+            for kd, kn, value, nxt in cells:
+                heap[kd] = value
+                heap[kn] = nxt
+        elif isinstance(atom, TreeSeg):  # node i's children are nodes 2i + 1 and 2i + 2
+            kids = _addrs(start, n) + [None] * (n + 2)
+            cells = zip(_keys("left", start, n), _keys("right", start, n), kids[1::2], kids[2::2])
+            for kl, kr, left, right in cells:
+                heap[kl] = left
+                heap[kr] = right
+    for atom in clause.heap:
+        if isinstance(atom, PointsTo):
+            obj = _value(atom.obj, env)
+            if not isinstance(obj, vm.Addr):
+                raise ValueError(f"{atom} needs an address at {atom.obj}")
+            (key,) = _keys(atom.field, obj.index, 1)
+            if key in heap:
+                raise ValueError(f"{atom} overlaps another cell")
+            heap[key] = _value(atom.value, env)
+    for atom in empty:
+        if _value(atom.head, env) != _value(atom.stop, env):
+            raise ValueError(f"{atom} is empty, but {atom.head} is not {atom.stop}")
+    for atom in clause.pure:
+        if (_value(atom.lhs, env) == _value(atom.rhs, env)) != (atom.op == "="):
+            raise ValueError(f"{atom} does not hold")
+    return [env.get(name) for name, _ in entry.params], heap, next_addr
 
 
 # ---------------------------------------------------------------------------
@@ -400,43 +425,15 @@ def build_queue(n: int, next_addr: int = 0):
 
 
 def _assemble_args(entry: Procedure, ns: argparse.Namespace):
-    """Build the heap and argument vector for the entry procedure."""
-    heap: dict = {}
-    next_addr = 0
-    refs: list = []
-    if ns.pan is not None:
-        parts = ns.pan.split(",")
-        if len(parts) != 2:
-            raise ValueError("--pan needs HANDLE,PAN")
-        head, join, heap_part, next_addr = build_pan(int(parts[0]), int(parts[1]), next_addr)
-        heap.update(heap_part)
-        refs.extend([head, join])
+    """The argument vector, heap and next address from `--size`/`--numbers`/`--int`."""
+    ints = (ns.int_args or []) + [0] * len(entry.params)
+    data = [] if ns.numbers is None else [int(tok) for tok in ns.numbers.split(",") if tok.strip()]
+    if ns.size is not None:
+        return build_model(entry, [int(tok) for tok in ns.size.split(",")], ints, data)
     if ns.numbers is not None:
-        values = [int(tok) for tok in ns.numbers.split(",") if tok.strip() != ""]
-        head, heap_part, next_addr = build_list(len(values), next_addr, data=values)
-        heap.update(heap_part)
-        refs.append(head)
-    if ns.list_len is not None:
-        head, heap_part, next_addr = build_list(ns.list_len, next_addr)
-        heap.update(heap_part)
-        refs.append(head)
-    if ns.tree_size is not None:
-        root, heap_part, next_addr = build_tree(ns.tree_size, next_addr)
-        heap.update(heap_part)
-        refs.append(root)
-    if ns.queue_size is not None:
-        q, heap_part, next_addr = build_queue(ns.queue_size, next_addr)
-        heap.update(heap_part)
-        refs.append(q)
-
-    ints = list(ns.int_args or [])
-    args = []
-    for _, ty in entry.params:
-        if ty == REF:
-            args.append(refs.pop(0) if refs else None)
-        else:
-            args.append(ints.pop(0) if ints else 0)
-    return args, heap, next_addr
+        return build_model(entry, [len(data)], ints, data)
+    it = iter(ints)
+    return [next(it) if ty == INT else None for _, ty in entry.params], {}, 0
 
 
 def _heap_cells(heap: dict) -> list[dict]:
@@ -487,66 +484,31 @@ def cmd_run(ns: argparse.Namespace) -> int:
 # `check`: replay the program at a range of sizes under the inferred budget
 
 
-@dataclass(frozen=True)
-class _InputPlan:
-    kind: str  # list | tree | pan | queue | plain
-    note: str
+def classify_inputs(entry: Procedure) -> tuple:
+    """The lseg/tree instances of the entry precondition's first clause, in
+    atom order: `check` builds each with n nodes at size n.  perfbench/run.py
+    calls this in the set-up of its replay workloads."""
+    return tuple(a for a in entry.precondition[0].heap if isinstance(a, (ListSeg, TreeSeg)))
 
 
-def classify_inputs(entry: Procedure) -> _InputPlan:
-    """Pick a builder family from the shape of the entry precondition."""
-    clause = entry.precondition[0]
-    lsegs = [a for a in clause.heap if isinstance(a, ListSeg)]
-    trees = [a for a in clause.heap if isinstance(a, TreeSeg)]
-    cells = [a for a in clause.heap if isinstance(a, PointsTo)]
-    if trees and not lsegs and not cells:
-        return _InputPlan("tree", "complete binary tree of n nodes")
-    if len(lsegs) == 2 and len(cells) == 1 and not trees:
-        return _InputPlan("pan", "cyclic tail: handle n+1 (join included), pan n")
-    if len(lsegs) == 2 and len(cells) == 2 and not trees:
-        return _InputPlan("queue", "two-list queue with n nodes per list")
-    if len(lsegs) == 1 and not cells and not trees:
-        return _InputPlan("list", "null-terminated list of n nodes")
-    return _InputPlan("plain", "no heap input; constant budget")
-
-
-def _sized_input(plan: _InputPlan, entry: Procedure, n: int, valuation) -> tuple:
-    """Concrete (args, heap, next_addr, budget) for size n."""
-    clause = entry.precondition[0]
-    refs: list = []
-    heap: dict = {}
-    next_addr = 0
-    budget = clause.resource.eval(valuation)
-    if plan.kind == "list":
-        head, heap, next_addr = build_list(n)
-        refs.append(head)
-        (seg,) = [a for a in clause.heap if isinstance(a, ListSeg)]
-        budget += seg.ann.eval(valuation) * n
-    elif plan.kind == "tree":
-        root, heap, next_addr = build_tree(n)
-        refs.append(root)
-        (seg,) = [a for a in clause.heap if isinstance(a, TreeSeg)]
-        budget += seg.ann.eval(valuation) * n
-    elif plan.kind == "pan":
-        head, join, heap, next_addr = build_pan(n + 1, n)
-        refs.extend([head, join])
-        for seg in clause.heap:
-            if isinstance(seg, ListSeg):
-                budget += seg.ann.eval(valuation) * n
-    elif plan.kind == "queue":
-        q, heap, next_addr = build_queue(n)
-        refs.append(q)
-        for seg in clause.heap:
-            if isinstance(seg, ListSeg):
-                budget += seg.ann.eval(valuation) * n
-
-    args = []
-    for _, ty in entry.params:
-        if ty == REF:
-            args.append(refs.pop(0) if refs else None)
-        else:
-            args.append(2)  # loop strides etc.; any positive constant works
+def _replay_input(plan: tuple, entry: Procedure, n: int, valuation) -> tuple:
+    """(args, heap, next_addr, budget) with n nodes per instance of `plan`
+    and 2 for each int parameter (loop strides etc.; any positive constant
+    works).  The budget is exact: the resource plus each instance's
+    annotation per node.  Raises ValueError for a size the clause rules out."""
+    args, heap, next_addr = build_model(entry, [n], [2] * len(entry.params))
+    budget = entry.precondition[0].resource.eval(valuation)
+    budget += n * sum(a.ann.eval(valuation) for a in plan)
     return args, heap, next_addr, budget
+
+
+def _sized_input(plan: tuple, entry: Procedure, n: int, valuation) -> Optional[tuple]:
+    """The replay input at size n, or None where the clause rules n out.
+    perfbench/run.py calls this in every round of its replay workloads."""
+    try:
+        return _replay_input(plan, entry, n, valuation)
+    except ValueError:
+        return None
 
 
 def cmd_check(ns: argparse.Namespace) -> int:
@@ -565,10 +527,15 @@ def cmd_check(ns: argparse.Namespace) -> int:
 
     entry = prog.proc(prog.entry)
     plan = classify_inputs(entry)
-    print(f"checking {prog.entry} at sizes 0..{ns.max_size} ({plan.note})")
+    sized = ", ".join(str(a) for a in plan) or "none"
+    print(f"checking {prog.entry} at sizes 0..{ns.max_size} (n nodes per instance: {sized})")
     worst: Optional[Fraction] = None
     for n in range(ns.max_size + 1):
-        args, heap, next_addr, budget = _sized_input(plan, entry, n, report.valuation)
+        try:
+            args, heap, next_addr, budget = _replay_input(plan, entry, n, report.valuation)
+        except ValueError as e:
+            print(f"size {n:3d}: skipped ({e})")
+            continue
         try:
             result = vm.run(prog, args, budget, fuel=ns.fuel, heap=heap, next_addr=next_addr)
         except vm.VmError as e:
@@ -576,11 +543,9 @@ def cmd_check(ns: argparse.Namespace) -> int:
             return EXIT_USAGE
         if not isinstance(result.outcome, vm.Halt):
             detail = result.to_json()
-            why = detail.get("reason", result.kind)
-            where = detail.get("at", "")
+            where = "".join(f" {detail[k]}" for k in ("reason", "at") if k in detail)
             print(
-                f"size {n}: {result.kind} with budget {budget} "
-                f"(consumed {result.consumed}) {why} {where}".rstrip(),
+                f"size {n}: {result.kind} with budget {budget} (consumed {result.consumed}){where}",
                 file=sys.stderr,
             )
             return _RUN_EXITS[result.kind]
@@ -729,11 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--policy", help="acquisition policy script, e.g. grant,deny")
     pr.add_argument("--seed", type=int, help="seeded random acquisition policy")
     pr.add_argument("--json", action="store_true", help="print the outcome as JSON")
-    pr.add_argument("--list-len", type=int, help="pass a fresh list of this length")
-    pr.add_argument("--tree-size", type=int, help="pass a complete tree of this size")
-    pr.add_argument("--pan", metavar="H,P", help="pass a cyclic-tail list (handle H incl. join, pan P)")
-    pr.add_argument("--numbers", metavar="CSV", help="pass a list with these data values")
-    pr.add_argument("--queue-size", type=int, help="pass a two-list queue with n nodes per list")
+    pr.add_argument(
+        "--size", metavar="N[,N...]",
+        help="nodes per lseg/tree instance of the precondition: one for all, or one each",
+    )
+    pr.add_argument(
+        "--numbers", metavar="CSV",
+        help="list data by node index; without --size, every count is the number of values",
+    )
     pr.add_argument(
         "--int", dest="int_args", type=int, action="append", metavar="N",
         help="value for the next integer parameter (repeatable)",

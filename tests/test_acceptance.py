@@ -147,18 +147,24 @@ def test_criterion_04_corpus_table():
 
 
 def test_criterion_05_budgets_hold_at_all_sizes():
+    skipped = set()  # sizes the precondition rules out
     for name in ANALYSABLE:
         prog = corpus(name)
         report = analyzed(name)
         entry = prog.proc(prog.entry)
         plan = classify_inputs(entry)
         for n in range(21):
-            args, heap, next_addr, budget = _sized_input(plan, entry, n, report.valuation)
+            inputs = _sized_input(plan, entry, n, report.valuation)
+            if inputs is None:
+                skipped.add((name, n))
+                continue
+            args, heap, next_addr, budget = inputs
             result = vm.run(prog, args, budget, heap=heap, next_addr=next_addr)
             assert isinstance(result.outcome, vm.Halt), (name, n, result.kind)
             assert result.consumed <= budget, (name, n)
             if name == "iterate_list" and n >= 1:
                 assert result.consumed == budget == n
+    assert skipped == {("merge_inner", 0)}
     passed(5, "no budget violations at sizes 0..20; iterate_list is tight for n >= 1")
 
 

@@ -5,11 +5,14 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from amort import cli
+from amort.bytecode import parse_program_file
+from oracles import model_check
 
 # `amort analyze <name> --emit-vcs --emit-constraints --lp-dump` per corpus
 # program: the exit code, stdout with its `timings:` line masked, and stderr
@@ -18,6 +21,52 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def returns_at_once(tmp_path, pre):
+    """A program file whose entry `main(x, y)` requires `pre` and returns."""
+    path = tmp_path / "main.amr"
+    path.write_text(
+        f"proc main(x:ref, y:ref) {{\n  requires: {pre}\n  ensures: ; ; 0\n"
+        "  0: iconst 0\n  1: return\n}\nentry main\n"
+    )
+    return path
+
+
+# pays 1 per node of the first list and 2 per node of the second: two
+# independent lists, a precondition no corpus program has
+TWO_LISTS = """
+proc walk(a:ref, b:ref) locals cur:ref {
+  requires: ; lseg($x, a, null), lseg($z, b, null) ; $y
+  ensures: ; lseg(0, a, null), lseg(0, b, null) ; 0
+
+  0: load a
+  1: store cur
+  2: load cur
+  3: ifnull 9
+  4: consume 1
+  5: load cur
+  6: getfield next
+  7: store cur
+  8: goto 2
+  9: load b
+  10: store cur
+  11: load cur
+  12: ifnull 18
+  13: consume 2
+  14: load cur
+  15: getfield next
+  16: store cur
+  17: goto 11
+  18: iconst 0
+  19: return
+
+  invariant 2: ; lseg($a1, a, cur), lseg($a2, cur, null), lseg($a3, b, null) ; $a4
+  invariant 11: ; lseg($b1, a, null), lseg($b2, b, cur), lseg($b3, cur, null) ; $b4
+}
+
+entry walk
+"""
 
 
 class TestAnalyze:
@@ -246,17 +295,17 @@ entry f
 
 class TestRun:
     def test_budget_respected(self, capsys):
-        assert run_cli("run", "iterate_list", "--list-len", "8", "--budget", "8") == cli.EXIT_OK
+        assert run_cli("run", "iterate_list", "--size", "8", "--budget", "8") == cli.EXIT_OK
         assert "Halt" in capsys.readouterr().out
 
     def test_budget_violation_exit(self, capsys):
-        code = run_cli("run", "iterate_list", "--list-len", "8", "--budget", "7")
+        code = run_cli("run", "iterate_list", "--size", "8", "--budget", "7")
         assert code == cli.EXIT_BUDGET
         assert "BudgetViolation" in capsys.readouterr().out
 
     def test_json_trace_fields(self, capsys):
         assert (
-            run_cli("run", "iterate_list", "--list-len", "2", "--budget", "2", "--json")
+            run_cli("run", "iterate_list", "--size", "2", "--budget", "2", "--json")
             == cli.EXIT_OK
         )
         payload = json.loads(capsys.readouterr().out)
@@ -274,19 +323,21 @@ class TestRun:
         assert perms == ["1", "0", "1"]
 
     def test_fuel_exhaustion_exit(self, capsys):
-        code = run_cli("run", "iterate_list", "--list-len", "5", "--budget", "9", "--fuel", "3")
+        code = run_cli("run", "iterate_list", "--size", "5", "--budget", "9", "--fuel", "3")
         assert code == cli.EXIT_FUEL
 
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ("frying_pan", "--pan", "2,-1"),
-            ("iterate_list", "--list-len", "-4"),
-            ("tree_traverse", "--tree-size", "-2"),
-            ("queue", "--queue-size", "-1"),
-            ("iterate_list", "--list-len", "3", "--fuel", "-5"),
-            ("iterate_list", "--list-len", "3", "--budget", "-1"),
+            ("frying_pan", "--size", "2,-1"),
+            ("iterate_list", "--size", "-4"),
+            ("tree_traverse", "--size", "-2"),
+            ("queue", "--size", "-1"),
+            ("iterate_list", "--size", "3", "--fuel", "-5"),
+            ("iterate_list", "--size", "3", "--budget", "-1"),
+            ("frying_pan", "--size", "1,2,3"),  # three counts for two instances
+            ("merge_inner", "--size", "0"),  # ruled out by `list != null`
         ],
     )
     def test_negative_bounds_are_usage_errors(self, argv, capsys):
@@ -294,6 +345,36 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "pre, sizes, why",
+        [
+            ("; pt(x, next, y), pt(x, next, z) ; 0", "0", "pt(x, next, z) overlaps another cell"),
+            (
+                "; lseg(1, x, null), lseg(1, x, null) ; 0", "1",
+                "lseg(1, x, null) needs fresh nodes, but x is already bound",
+            ),
+            ("; pt(null, next, x) ; 0", "0", "pt(null, next, x) needs an address at null"),
+            (
+                "; pt(y, next, null), lseg(1, x, null), lseg(1, y, x) ; 0", "1,0",
+                "lseg(1, y, x) is empty, but y is not x",
+            ),
+            ("x = y ; lseg(1, x, null), lseg(1, y, null) ; 0", "1", "x = y does not hold"),
+        ],
+    )
+    def test_counts_the_precondition_rules_out(self, pre, sizes, why, tmp_path, capsys):
+        path = returns_at_once(tmp_path, pre)
+        assert run_cli("run", str(path), "--size", sizes) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {why}\n"
+
+    def test_a_cell_on_a_first_node_in_either_atom_order(self, tmp_path, capsys):
+        heaps = []
+        for pre in ("; pt(x, val, y), lseg(1, x, null) ; 0", "; lseg(1, x, null), pt(x, val, y) ; 0"):
+            path = returns_at_once(tmp_path, pre)
+            assert run_cli("run", str(path), "--size", "2", "--json") == cli.EXIT_OK
+            heaps.append(json.loads(capsys.readouterr().out)["heap"])
+        assert heaps[0] == heaps[1]
+        assert {"addr": 0, "field": "val", "value": "null"} in heaps[0]
 
 
 class TestCheck:
@@ -321,6 +402,55 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --fuel must be nonnegative, got -1\n"
+
+    def test_fuel_exhaustion_names_the_kind_once(self, capsys):
+        assert run_cli("check", "iterate_list", "--fuel", "0") == cli.EXIT_FUEL
+        assert capsys.readouterr().err == "size 0: FuelExhausted with budget 0 (consumed 0)\n"
+
+    def test_ruled_out_size_is_skipped(self, capsys):
+        assert run_cli("check", "merge_inner", "--max-size", "1") == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "size   0: skipped (list != null does not hold)"
+        assert out[2].startswith("size   1: consumed ")
+        assert out[-1] == "no budget violations"
+
+    def test_two_lists_are_both_replayed(self, tmp_path, capsys):
+        path = tmp_path / "two_lists.amr"
+        path.write_text(TWO_LISTS)
+        assert run_cli("check", str(path), "--max-size", "5") == cli.EXIT_OK
+        out = capsys.readouterr().out
+        for n in range(1, 6):
+            assert f"size {n:3d}: consumed {3 * n}/{3 * n}  tightness 1\n" in out
+        assert "max tightness: 1\n" in out
+
+
+class TestReplayInputs:
+    """`check` replays on exact models of the entry precondition: every
+    built input satisfies it with the budget as the resource, and with half
+    a unit less it does not."""
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in cli.CORPUS_DIR.glob("*.amr")))
+    def test_inputs_are_exact_models(self, name):
+        prog = parse_program_file(cli.CORPUS_DIR / f"{name}.amr")
+        entry = prog.proc(prog.entry)
+        try:
+            valuation = cli.analyze_program(prog).valuation
+        except cli.AnalysisError:  # the rejected programs: every annotation 0
+            valuation = {v: Fraction(0) for v in cli.metavariable_pool(prog)[1]}
+        plan = cli.classify_inputs(entry)
+        built = 0
+        for n in range(4):
+            inputs = cli._sized_input(plan, entry, n, valuation)
+            if inputs is None:
+                continue
+            args, heap, _, budget = inputs
+            env = {param: arg for (param, _), arg in zip(entry.params, args)}
+            pre = entry.precondition
+            assert model_check(pre, env, heap, budget, valuation), n
+            if budget > 0:
+                assert not model_check(pre, env, heap, budget - Fraction(1, 2), valuation), n
+            built += 1
+        assert built == (3 if name == "merge_inner" else 4)
 
 
 class ClosedPipe:

@@ -458,7 +458,7 @@ def test_corpus_is_covered():
 def sized_inputs(name, valuation=None):
     """(program, [(args, heap, next_addr, inferred budget) for each size]).
 
-    Rejected programs have no inferred valuation: their inputs are built
+    A size the precondition rules out has None for its input.  Rejected programs have no inferred valuation: their inputs are built
     with every annotation variable at 0."""
     prog = parse_program_file(CORPUS_DIR / f"{name}.amr")
     entry = prog.proc(prog.entry)
@@ -504,6 +504,8 @@ class TestDifferential:
         prog, sized = sized_inputs(name)
         kinds = {"inferred": set(), "half": set(), "fuel 37": set()}
         for n, inputs in zip(SIZES, sized):
+            if inputs is None:
+                continue
             budget = inputs[3]
             for policy in policies(n):
                 kinds["inferred"].add(agree(prog, inputs, budget, policy))
@@ -518,10 +520,20 @@ class TestDifferential:
         prog, sized = sized_inputs(name, valuation=defaultdict(Fraction))
         kinds = set()
         for n, inputs in zip(SIZES, sized):
+            if inputs is None:
+                continue
             for budget in (Fraction(0), Fraction(1), Fraction(100)):
                 for policy in policies(n):
                     kinds.add(agree(prog, inputs, budget, policy))
         assert kinds == expected
+
+    def test_ruled_out_sizes(self):
+        skipped = set()
+        for name in ANALYSABLE + tuple(REJECTED):
+            valuation = defaultdict(Fraction) if name in REJECTED else None
+            _, sized = sized_inputs(name, valuation)
+            skipped |= {(name, n) for n, inputs in zip(SIZES, sized) if inputs is None}
+        assert skipped == {("merge_inner", 0)}
 
     @pytest.mark.parametrize("name", ANALYSABLE + tuple(REJECTED))
     def test_single_steps_follow_the_reference(self, name):
