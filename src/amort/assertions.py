@@ -291,20 +291,6 @@ def assertion_free_vars(a: Sequence[Clause]) -> set[str]:
     return out
 
 
-def goal_free_vars(g: Goal) -> set[str]:
-    if isinstance(g, Leaf):
-        return assertion_free_vars(g.parts)
-    if isinstance(g, (Star, Wand)):
-        return assertion_free_vars(g.parts) | goal_free_vars(g.rest)
-    if isinstance(g, And):
-        return goal_free_vars(g.left) | goal_free_vars(g.right)
-    if isinstance(g, Implies):
-        return {t.name for t in atom_terms(g.cond) if isinstance(t, Var)} | goal_free_vars(g.rest)
-    if isinstance(g, (Forall, Exists)):
-        return goal_free_vars(g.rest) - {g.var}
-    raise TypeError(g)
-
-
 def subst_term(t: Term, sub: Mapping[str, Term]) -> Term:
     if isinstance(t, Var) and t.name in sub:
         return sub[t.name]
@@ -352,35 +338,6 @@ def subst_clause(c: Clause, sub: Mapping[str, Term]) -> Clause:
 
 def subst_assertion(a: Sequence[Clause], sub: Mapping[str, Term]) -> Assertion:
     return tuple(subst_clause(c, sub) for c in a)
-
-
-def subst_goal(g: Goal, sub: Mapping[str, Term]) -> Goal:
-    if not sub:
-        return g
-    if isinstance(g, Leaf):
-        return Leaf(subst_assertion(g.parts, sub))
-    if isinstance(g, Star):
-        return Star(subst_assertion(g.parts, sub), subst_goal(g.rest, sub))
-    if isinstance(g, Wand):
-        return Wand(subst_assertion(g.parts, sub), subst_goal(g.rest, sub))
-    if isinstance(g, And):
-        return And(subst_goal(g.left, sub), subst_goal(g.right, sub))
-    if isinstance(g, Implies):
-        return Implies(map_atom(g.cond, subst_term, sub), subst_goal(g.rest, sub))
-    if isinstance(g, (Forall, Exists)):
-        live = {k: v for k, v in sub.items() if k != g.var}
-        if not live:
-            return g
-        incoming = set().union(*(term_vars(v) for v in live.values()))
-        var = g.var
-        rest = g.rest
-        if var in incoming:
-            fresh = _fresh_name(var, incoming | goal_free_vars(rest) | set(live))
-            rest = subst_goal(rest, {var: Var(fresh)})
-            var = fresh
-        rest = subst_goal(rest, live)
-        return Forall(var, rest) if isinstance(g, Forall) else Exists(var, rest)
-    raise TypeError(g)
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +533,8 @@ def _parse_term(ts: _TokStream) -> Term:
 
 
 def _parse_resexpr(ts: _TokStream) -> ResourceExpr:
-    const = Fraction(0)
-    terms: dict[str, Fraction] = {}
+    const: int | Fraction = 0
+    terms: dict[str, int | Fraction] = {}
 
     def one():
         nonlocal const
@@ -585,13 +542,13 @@ def _parse_resexpr(ts: _TokStream) -> ResourceExpr:
         if k == "sym" and v == "$":
             ts.next()
             name = ts.expect("name")
-            terms[name] = terms.get(name, Fraction(0)) + 1
+            terms[name] = terms.get(name, 0) + 1
             return
         if k == "int":
             if v.startswith("-"):
                 raise AssertionParseError("resource expressions must be nonnegative", pos)
             ts.next()
-            num = Fraction(int(v))
+            num: int | Fraction = int(v)
             if ts.accept("sym", "/"):
                 den = int(ts.expect("int"))
                 if den <= 0:
@@ -600,7 +557,7 @@ def _parse_resexpr(ts: _TokStream) -> ResourceExpr:
             if ts.accept("sym", "*"):
                 ts.expect("sym", "$")
                 name = ts.expect("name")
-                terms[name] = terms.get(name, Fraction(0)) + num
+                terms[name] = terms.get(name, 0) + num
             else:
                 const += num
             return

@@ -23,7 +23,11 @@ Search structure:
   and children) from :mod:`amort.assertions`, so one set of rules serves
   every predicate.
 * goal dispatch walks the goal connectives, backtracking over disjunct and
-  instantiation choices.
+  instantiation choices.  It never rewrites a goal: an environment maps
+  each variable a quantifier bound to its value, and each rule applies it
+  only to the clause or guard it is about to match or assume.  A
+  substitution thus costs the same however many binders lie above the
+  clause, and a goal that two paths share reaches the search as one object.
 
 The search always terminates: besides the structural arguments, a depth cap
 and a global work budget turn any runaway exploration into an ordinary
@@ -52,9 +56,10 @@ from .assertions import (
     Var,
     Wand,
     atom_terms,
+    clause_free_vars,
     map_atom,
     subst_clause,
-    subst_goal,
+    subst_term,
 )
 from .resources import ResourceExpr
 
@@ -117,6 +122,7 @@ class EVar:
 
 
 Subst = dict  # dict[EVar, Term]
+Env = dict  # dict[str, Term]: the values of the goal variables bound above
 
 
 def resolve(t: Term, theta: Mapping) -> Term:
@@ -125,39 +131,12 @@ def resolve(t: Term, theta: Mapping) -> Term:
     return t
 
 
-def _resolve_clause(c: Clause, theta) -> Clause:
-    return Clause(
-        c.exists,
-        tuple(map_atom(a, resolve, theta) for a in c.pure),
-        tuple(map_atom(a, resolve, theta) for a in c.heap),
-        c.resource,
-    )
-
-
-def _resolve_goal(g: Goal, theta) -> Goal:
-    if not theta:
-        return g
-    if isinstance(g, Leaf):
-        return Leaf(tuple(_resolve_clause(c, theta) for c in g.parts))
-    if isinstance(g, Star):
-        return Star(
-            tuple(_resolve_clause(c, theta) for c in g.parts),
-            _resolve_goal(g.rest, theta),
-        )
-    if isinstance(g, Wand):
-        return Wand(
-            tuple(_resolve_clause(c, theta) for c in g.parts),
-            _resolve_goal(g.rest, theta),
-        )
-    if isinstance(g, And):
-        return And(_resolve_goal(g.left, theta), _resolve_goal(g.right, theta))
-    if isinstance(g, Implies):
-        return Implies(map_atom(g.cond, resolve, theta), _resolve_goal(g.rest, theta))
-    if isinstance(g, Forall):
-        return Forall(g.var, _resolve_goal(g.rest, theta))
-    if isinstance(g, Exists):
-        return Exists(g.var, _resolve_goal(g.rest, theta))
-    raise TypeError(g)
+def _live(c: Clause, env: Env) -> Env:
+    """``env`` at the free variables of ``c``: all that substituting it into
+    ``c`` reads, so the cost does not grow with ``env``."""
+    if not env:
+        return env
+    return {x: env[x] for x in clause_free_vars(c) if x in env}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +313,7 @@ class Prover:
         self._best_fail = None
         self._branches = 0
         try:
-            cons = self._go_saturated(ctx, goal, 0)
+            cons = self._go_saturated(ctx, goal, {}, 0)
         except _SearchBound as e:
             cons, fail = None, ProofFailure(f"search bound exceeded ({e})", 0)
         else:
@@ -533,46 +512,54 @@ class Prover:
         )
 
     # -- goal dispatch ----------------------------------------------------------
+    #
+    # Goals are never rewritten.  ``env`` maps each goal variable bound by an
+    # enclosing quantifier to its value: a fresh rigid variable, an EVar or
+    # an instantiation candidate.  A rule applies it only to the clause or
+    # guard it is about to match or assume; a goal variable absent from it
+    # names the context variable of that name.  The values are context
+    # terms, never read through ``env`` again, so an inner binder shadows an
+    # outer one and nothing can be captured.
 
-    def _go_saturated(self, ctx, goal, depth) -> Optional[ConstraintSet]:
+    def _go_saturated(self, ctx, goal, env, depth) -> Optional[ConstraintSet]:
         """Prove the goal in every surviving branch, each as saturation
         yields it; the first failing branch ends the search."""
         cons: ConstraintSet = ()
         for branch in self.saturate(ctx):
-            sub = self._go(branch, goal, depth)
+            sub = self._go(branch, goal, env, depth)
             if sub is None:
                 return None
             cons = merge_constraints(cons, sub)
         return cons
 
-    def _go(self, ctx: ProofContext, goal: Goal, depth: int) -> Optional[ConstraintSet]:
+    def _go(self, ctx: ProofContext, goal: Goal, env: Env, depth: int) -> Optional[ConstraintSet]:
         self._tick(depth)
         if isinstance(goal, Leaf):
-            return self._go_leaf(ctx, goal, depth)
+            return self._go_leaf(ctx, goal, env, depth)
         if isinstance(goal, Star):
-            return self._go_star(ctx, goal, depth)
+            return self._go_star(ctx, goal, env, depth)
         if isinstance(goal, Wand):
-            return self._go_wand(ctx, goal, depth)
+            return self._go_wand(ctx, goal, env, depth)
         if isinstance(goal, And):
-            left = self._go(ctx, goal.left, depth + 1)
+            left = self._go(ctx, goal.left, env, depth + 1)
             if left is None:
                 return None
-            right = self._go(ctx, goal.right, depth + 1)
+            right = self._go(ctx, goal.right, env, depth + 1)
             if right is None:
                 return None
             return merge_constraints(left, right)
         if isinstance(goal, Implies):
-            return self._go_implies(ctx, goal, depth)
+            return self._go_implies(ctx, goal, env, depth)
         if isinstance(goal, Forall):
             v = self._fresh_rigid(ctx, goal.var)
-            return self._go(ctx, subst_goal(goal.rest, {goal.var: v}), depth + 1)
+            return self._go(ctx, goal.rest, {**env, goal.var: v}, depth + 1)
         if isinstance(goal, Exists):
-            return self._go_exists(ctx, goal, depth)
+            return self._go_exists(ctx, goal, env, depth)
         raise TypeError(goal)
 
-    def _go_leaf(self, ctx, goal: Leaf, depth) -> Optional[ConstraintSet]:
+    def _go_leaf(self, ctx, goal: Leaf, env, depth) -> Optional[ConstraintSet]:
         for clause in goal.parts:
-            for ctx2, theta, cons in self._match_clause(ctx, clause, depth):
+            for ctx2, theta, cons in self._match_clause(ctx, subst_clause(clause, _live(clause, env)), depth):
                 if ctx2.heap:
                     leak = ", ".join(str(a) for a in ctx2.heap)
                     self._note_fail(depth, f"leftover heap after match: {leak}")
@@ -580,20 +567,23 @@ class Prover:
                 return cons
         return None
 
-    def _go_star(self, ctx, goal: Star, depth) -> Optional[ConstraintSet]:
+    def _go_star(self, ctx, goal: Star, env, depth) -> Optional[ConstraintSet]:
         for clause in goal.parts:
-            for ctx2, theta, cons in self._match_clause(ctx, clause, depth):
-                rest = _resolve_goal(goal.rest, theta)
-                sub = self._go(ctx2, rest, depth + 1)
+            live = _live(clause, env)
+            for ctx2, theta, cons in self._match_clause(ctx, subst_clause(clause, live), depth):
+                # the match binds only EVars the clause holds: rebind those
+                bound = {k: resolve(v, theta) for k, v in live.items() if type(v) is EVar and v in theta}
+                sub = self._go(ctx2, goal.rest, {**env, **bound} if bound else env, depth + 1)
                 if sub is not None:
                     return merge_constraints(cons, sub)
         return None
 
-    def _go_wand(self, ctx, goal: Wand, depth) -> Optional[ConstraintSet]:
+    def _go_wand(self, ctx, goal: Wand, env, depth) -> Optional[ConstraintSet]:
         # Assume the hypothesis in every one of its disjuncts; the
         # continuation must hold under each.
         cons: ConstraintSet = ()
         for clause in goal.parts:
+            clause = subst_clause(clause, _live(clause, env))
             evars = {t for a in clause.pure + clause.heap for t in atom_terms(a) if isinstance(t, EVar)}
             if evars:
                 names = ", ".join(sorted(str(e) for e in evars))
@@ -609,28 +599,29 @@ class Prover:
                 resource=ctx.resource + body.resource,
                 closed=ctx.closed,
             )
-            sub_cons = self._go_saturated(grown, goal.rest, depth + 1)
+            sub_cons = self._go_saturated(grown, goal.rest, env, depth + 1)
             if sub_cons is None:
                 return None
             cons = merge_constraints(cons, sub_cons)
         return cons
 
-    def _go_implies(self, ctx, goal: Implies, depth) -> Optional[ConstraintSet]:
-        if any(isinstance(t, EVar) for t in atom_terms(goal.cond)):
-            self._note_fail(depth, f"unresolved existential in guard {goal.cond}")
+    def _go_implies(self, ctx, goal: Implies, env, depth) -> Optional[ConstraintSet]:
+        cond = map_atom(goal.cond, subst_term, env)
+        if any(isinstance(t, EVar) for t in atom_terms(cond)):
+            self._note_fail(depth, f"unresolved existential in guard {cond}")
             return None
-        grown = ctx.updated(pure=ctx.pure + (goal.cond,))
-        return self._go_saturated(grown, goal.rest, depth + 1)
+        grown = ctx.updated(pure=ctx.pure + (cond,))
+        return self._go_saturated(grown, goal.rest, env, depth + 1)
 
-    def _go_exists(self, ctx, goal: Exists, depth) -> Optional[ConstraintSet]:
+    def _go_exists(self, ctx, goal: Exists, env, depth) -> Optional[ConstraintSet]:
         # Unification first: let matching discover the witness.
         e = self._fresh_evar(ctx, goal.var)
-        res = self._go(ctx, subst_goal(goal.rest, {goal.var: e}), depth + 1)
+        res = self._go(ctx, goal.rest, {**env, goal.var: e}, depth + 1)
         if res is not None:
             return res
         # Fall back to enumerating context terms (never fresh integers).
         for cand in self._candidates(ctx):
-            res = self._go(ctx, subst_goal(goal.rest, {goal.var: cand}), depth + 1)
+            res = self._go(ctx, goal.rest, {**env, goal.var: cand}, depth + 1)
             if res is not None:
                 return res
         return None

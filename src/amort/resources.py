@@ -5,6 +5,9 @@ addition with 0 as the empty resource.  Annotations that still contain
 unknowns are linear expressions over named metavariables (written ``$name``
 in source text); the prover subtracts them freely, so expressions may carry
 signed coefficients, but anything written in source must be nonnegative.
+Inside an expression an integral number is an ``int`` and any other a
+``Fraction``; what leaves an expression (``eval``, and the LP's valuation
+and objective) is always a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -46,33 +49,44 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def _num(x) -> int | Fraction:
+    """``x`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class ResourceExpr:
     """Linear expression ``constant + sum(coeff * $var)`` over rationals.
 
     Stored normalised: zero coefficients dropped, terms sorted by name, so
-    equality and hashing are syntactic equality of the normal form.
+    equality and hashing are syntactic equality of the normal form.  An
+    integral constant or coefficient is stored as an ``int``, any other as
+    a ``Fraction``; the two compare, hash and print alike, and integer
+    arithmetic is much cheaper.  ``eval`` always returns a ``Fraction``.
     """
 
-    constant: Fraction = ZERO
-    terms: tuple[tuple[str, Fraction], ...] = ()
+    constant: int | Fraction = 0
+    terms: tuple[tuple[str, int | Fraction], ...] = ()
 
     @staticmethod
-    def make(constant: Fraction | int = 0, terms: Mapping[str, Fraction] | None = None) -> "ResourceExpr":
+    def make(constant: Fraction | int = 0, terms: Mapping[str, Fraction | int] | None = None) -> "ResourceExpr":
         items = []
         for name, coeff in sorted((terms or {}).items()):
-            c = Fraction(coeff)
-            if c != 0:
-                items.append((name, c))
-        return ResourceExpr(Fraction(constant), tuple(items))
+            if coeff != 0:
+                items.append((name, _num(coeff)))
+        return ResourceExpr(_num(constant), tuple(items))
 
     @staticmethod
     def const(value: Fraction | int) -> "ResourceExpr":
-        return ResourceExpr.make(Fraction(value))
+        return ResourceExpr.make(value)
 
     @staticmethod
     def var(name: str, coeff: Fraction | int = 1) -> "ResourceExpr":
-        return ResourceExpr.make(0, {name: Fraction(coeff)})
+        return ResourceExpr.make(0, {name: coeff})
 
     def __hash__(self) -> int:
         # computed once: `Fraction.__hash__` is costly and constraint sets
@@ -96,18 +110,18 @@ class ResourceExpr:
     def __add__(self, other: "ResourceExpr") -> "ResourceExpr":
         m = self.coeff_map()
         for name, c in other.terms:
-            m[name] = m.get(name, ZERO) + c
+            m[name] = m.get(name, 0) + c
         return ResourceExpr.make(self.constant + other.constant, m)
 
     def __sub__(self, other: "ResourceExpr") -> "ResourceExpr":
         m = self.coeff_map()
         for name, c in other.terms:
-            m[name] = m.get(name, ZERO) - c
+            m[name] = m.get(name, 0) - c
         return ResourceExpr.make(self.constant - other.constant, m)
 
     def eval(self, valuation: Mapping[str, Fraction]) -> Fraction:
         """Evaluate under a metavariable valuation; every variable must be bound."""
-        total = self.constant
+        total = Fraction(self.constant)
         for name, coeff in self.terms:
             if name not in valuation:
                 raise UnboundMetavariable(name)

@@ -171,14 +171,10 @@ def parse_policy(text: str) -> AcquisitionPolicy:
 # the machine: every rule updates it in place
 
 
-class _Frame:
-    """A live frame: its decoded code, a list stack whose top is its last
-    element, a locals dict and a pc."""
-
-    __slots__ = ("proc", "code", "stack", "locals", "pc")
-
-    def __init__(self, proc: str, code: list, stack: list, locals_: dict, pc: int):
-        self.proc, self.code, self.stack, self.locals, self.pc = proc, code, stack, locals_, pc
+# A live frame is a list [proc, code, stack, locals, pc]: the procedure's
+# name, its decoded code, a list stack whose top is its last element, a
+# locals dict and the pc (slots 0 to 4).  `_drive` unpacks the active one
+# into local variables.
 
 
 class _Machine:
@@ -387,8 +383,8 @@ def _free(m, stack, locals_, fields, pc):
 
 def _overdraw(m, pc):
     f = m.frames[-1]
-    f.pc = pc
-    m.outcome = BudgetViolation(f.proc, pc, *m.amounts())
+    f[4] = pc
+    m.outcome = BudgetViolation(f[0], pc, *m.amounts())
 
 
 def _consume(m, stack, locals_, amount, pc):
@@ -423,15 +419,18 @@ def _acquire(m, stack, locals_, _, pc):
 
 def _call(m, stack, locals_, operand, pc):
     callee, code, n = operand
-    if len(stack) < n:
-        raise _StuckSignal(f"call {callee}: stack underflow")
     # the top of the stack becomes local 0
-    callee_locals = {}
-    for i in range(n):
-        callee_locals[i] = stack.pop()
+    if n == 1 and stack:
+        callee_locals = {0: stack.pop()}
+    else:
+        if len(stack) < n:
+            raise _StuckSignal(f"call {callee}: stack underflow")
+        callee_locals = {}
+        for i in range(n):
+            callee_locals[i] = stack.pop()
     frames = m.frames
-    frames[-1].pc = pc + 1
-    frames.append(_Frame(callee, code, [], callee_locals, 0))
+    frames[-1][4] = pc + 1
+    frames.append([callee, code, [], callee_locals, 0])
 
 
 def _return(m, stack, locals_, _, pc):
@@ -441,7 +440,7 @@ def _return(m, stack, locals_, _, pc):
     frames = m.frames
     frames.pop()
     if frames:
-        frames[-1].stack.append(v)
+        frames[-1][2].append(v)
     else:
         m.outcome = Halt(m.heap, *m.amounts(), v)
 
@@ -528,7 +527,7 @@ def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
     """
     frames = m.frames
     f = frames[-1]
-    code, stack, locals_, pc = f.code, f.stack, f.locals, f.pc
+    _, code, stack, locals_, pc = f
     try:
         for steps in range(1, fuel + 1):
             if pc < 0:  # as a list index it would count from the end
@@ -542,12 +541,12 @@ def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
                 if m.outcome is not None:
                     return m.outcome, steps
                 f = frames[-1]
-                code, stack, locals_, nxt = f.code, f.stack, f.locals, f.pc
+                _, code, stack, locals_, nxt = f
             pc = nxt
     except _StuckSignal as s:
-        f.pc = pc
-        return Stuck(s.reason, f.proc, pc), steps
-    f.pc = pc
+        f[4] = pc
+        return Stuck(s.reason, f[0], pc), steps
+    f[4] = pc
     return None, fuel
 
 
@@ -608,7 +607,7 @@ def _start(
     codes = {name: ([], p.arity) for name, p in procs.items()}
     for name, p in procs.items():
         codes[name][0].extend(_decode(ins, codes, scale) for ins in p.code)
-    frame = _Frame(program.entry, codes[program.entry][0], [], dict(enumerate(args)), 0)
+    frame = [program.entry, codes[program.entry][0], [], dict(enumerate(args)), 0]
     units = total.numerator * (scale // total.denominator)
     return _Machine(policy, dict(heap or {}), [frame], 0, units, scale, next_addr, 0)
 

@@ -20,7 +20,9 @@ snapshots it before every step, in the reference's `MachineState` form.
 the disequalities as a list and walks all of them on every query.
 `ReferenceProver` is the prover with its unfolding and matching rules written
 out once per inductive predicate, `lseg` and `tree` apart, and a cell closure
-that rescans every pair of cells.
+that rescans every pair of cells.  `RewritingProver` is the prover with the
+goal dispatch that rewrites the rest of the goal at every binder and `*`
+match (`subst_goal`), where the shipped one carries an environment.
 """
 
 from __future__ import annotations
@@ -54,7 +56,14 @@ from amort.assertions import (
     TreeSeg,
     Var,
     Wand,
+    _fresh_name,
+    assertion_free_vars,
+    atom_terms,
     is_literal,
+    map_atom,
+    subst_assertion,
+    subst_term,
+    term_vars,
 )
 from amort.bytecode import Instr, Program
 from amort.lp import (
@@ -669,6 +678,121 @@ class ReferenceProver(Prover):
             yield from self._match_atoms(
                 ctx.updated(heap=ctx.without_atom(i)), tail, t1, merge_constraints(cons, extra), depth
             )
+
+
+# ---------------------------------------------------------------------------
+# goal rewriting (test oracle)
+#
+# `RewritingProver` is the prover with a goal dispatch that rewrites goals
+# instead of carrying an environment: a quantifier substitutes its fresh
+# variable, EVar or candidate into the rest of the goal with `subst_goal`,
+# which costs time quadratic in the path's binders, and a `*` match
+# resolves its bindings through the rest with `_resolve_goal`, so the
+# environment stays empty.  The shipped prover must agree with it on every
+# result, constraint, tick and branch, and on every message up to the `~k`
+# suffixes with which `subst_goal` renames a binder or a clause existential
+# that a substituted term would capture: the shipped prover, applying its
+# environment only at a clause's own free variables, renames no more than
+# capture requires.
+
+
+def goal_free_vars(g: Goal) -> set[str]:
+    if isinstance(g, Leaf):
+        return assertion_free_vars(g.parts)
+    if isinstance(g, (Star, Wand)):
+        return assertion_free_vars(g.parts) | goal_free_vars(g.rest)
+    if isinstance(g, And):
+        return goal_free_vars(g.left) | goal_free_vars(g.right)
+    if isinstance(g, Implies):
+        return {t.name for t in atom_terms(g.cond) if isinstance(t, Var)} | goal_free_vars(g.rest)
+    if isinstance(g, (Forall, Exists)):
+        return goal_free_vars(g.rest) - {g.var}
+    raise TypeError(g)
+
+
+def subst_goal(g: Goal, sub: Mapping[str, Term]) -> Goal:
+    """Capture-avoiding substitution into a goal, renaming a quantifier
+    whose variable a substituted term mentions."""
+    if not sub:
+        return g
+    if isinstance(g, Leaf):
+        return Leaf(subst_assertion(g.parts, sub))
+    if isinstance(g, Star):
+        return Star(subst_assertion(g.parts, sub), subst_goal(g.rest, sub))
+    if isinstance(g, Wand):
+        return Wand(subst_assertion(g.parts, sub), subst_goal(g.rest, sub))
+    if isinstance(g, And):
+        return And(subst_goal(g.left, sub), subst_goal(g.right, sub))
+    if isinstance(g, Implies):
+        return Implies(map_atom(g.cond, subst_term, sub), subst_goal(g.rest, sub))
+    if isinstance(g, (Forall, Exists)):
+        live = {k: v for k, v in sub.items() if k != g.var}
+        if not live:
+            return g
+        incoming = set().union(*(term_vars(v) for v in live.values()))
+        var = g.var
+        rest = g.rest
+        if var in incoming:
+            fresh = _fresh_name(var, incoming | goal_free_vars(rest) | set(live))
+            rest = subst_goal(rest, {var: Var(fresh)})
+            var = fresh
+        rest = subst_goal(rest, live)
+        return Forall(var, rest) if isinstance(g, Forall) else Exists(var, rest)
+    raise TypeError(g)
+
+
+def _resolve_clause(c: Clause, theta) -> Clause:
+    return Clause(
+        c.exists,
+        tuple(map_atom(a, resolve, theta) for a in c.pure),
+        tuple(map_atom(a, resolve, theta) for a in c.heap),
+        c.resource,
+    )
+
+
+def _resolve_goal(g: Goal, theta) -> Goal:
+    if not theta:
+        return g
+    if isinstance(g, Leaf):
+        return Leaf(tuple(_resolve_clause(c, theta) for c in g.parts))
+    if isinstance(g, (Star, Wand)):
+        return type(g)(tuple(_resolve_clause(c, theta) for c in g.parts), _resolve_goal(g.rest, theta))
+    if isinstance(g, And):
+        return And(_resolve_goal(g.left, theta), _resolve_goal(g.right, theta))
+    if isinstance(g, Implies):
+        return Implies(map_atom(g.cond, resolve, theta), _resolve_goal(g.rest, theta))
+    if isinstance(g, (Forall, Exists)):
+        return type(g)(g.var, _resolve_goal(g.rest, theta))
+    raise TypeError(g)
+
+
+class RewritingProver(Prover):
+    def _go(self, ctx, goal, env, depth):
+        if isinstance(goal, Forall):
+            self._tick(depth)
+            v = self._fresh_rigid(ctx, goal.var)
+            return self._go(ctx, subst_goal(goal.rest, {goal.var: v}), env, depth + 1)
+        if isinstance(goal, Exists):
+            self._tick(depth)
+            e = self._fresh_evar(ctx, goal.var)
+            res = self._go(ctx, subst_goal(goal.rest, {goal.var: e}), env, depth + 1)
+            if res is not None:
+                return res
+            for cand in self._candidates(ctx):
+                res = self._go(ctx, subst_goal(goal.rest, {goal.var: cand}), env, depth + 1)
+                if res is not None:
+                    return res
+            return None
+        # the other connectives read the environment, which stays empty
+        return super()._go(ctx, goal, env, depth)
+
+    def _go_star(self, ctx, goal: Star, env, depth):
+        for clause in goal.parts:
+            for ctx2, theta, cons in self._match_clause(ctx, clause, depth):
+                sub = self._go(ctx2, _resolve_goal(goal.rest, theta), env, depth + 1)
+                if sub is not None:
+                    return merge_constraints(cons, sub)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -1299,7 +1423,8 @@ def reference_run(
 def snapshot(m: vm._Machine) -> MachineState:
     """A frozen copy of a live machine: active frame first, stacks top first."""
     frames = tuple(
-        Frame(f.proc, tuple(reversed(f.stack)), dict(f.locals), f.pc) for f in reversed(m.frames)
+        Frame(proc, tuple(reversed(stack)), dict(locals_), pc)
+        for proc, _, stack, locals_, pc in reversed(m.frames)
     )
     return MachineState(*m.amounts(), dict(m.heap), frames, m.next_addr, m.acquire_count)
 

@@ -10,7 +10,9 @@ from amort.assertions import (
     NULL,
     AssertionParseError,
     Clause,
+    Exists,
     IntLit,
+    Leaf,
     ListSeg,
     PointsTo,
     PureAtom,
@@ -20,12 +22,9 @@ from amort.assertions import (
     assertion_str,
     parse_assertion,
     subst_clause,
-    subst_goal,
-    Exists,
-    Leaf,
 )
 from amort.resources import ResourceExpr
-from oracles import ReferencePureContext, model_check
+from oracles import ReferencePureContext, model_check, subst_goal
 
 
 class FakeAddr:

@@ -8,6 +8,8 @@ per absorbed segment with a differing annotation.
 import functools
 import itertools
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,9 @@ from amort.assertions import (
     Wand,
     parse_assertion,
 )
+from amort import assertions, prover
 from amort.bytecode import parse_program, validate
+from amort.cli import CORPUS_DIR
 from amort.prover import (
     Constraint,
     EVar,
@@ -41,8 +45,8 @@ from amort.prover import (
     merge_constraints,
 )
 from amort.resources import ResourceExpr
-from amort.vcgen import gen_program_vcs
-from oracles import ReferenceProver
+from amort.vcgen import VcgenError, gen_program_vcs
+from oracles import ReferenceProver, RewritingProver
 
 R = ResourceExpr.const
 V = ResourceExpr.var
@@ -397,6 +401,22 @@ class TestProve:
         goal = Exists("v", Leaf((Clause((), (PureAtom(Var("v"), "!=", x),)),)))
         assert Prover().prove(ctx, goal).ok
 
+    def test_star_match_binds_existential_for_the_rest(self):
+        # the match binds v to y; the guard after it must see y, not ?v,
+        # or the search only gets there through candidate enumeration
+        ctx = ProofContext((), (PointsTo(x, "f", y),))
+        goal = Exists("v", Star(parse_assertion("; pt(x, f, v) ; 0"), Implies(PureAtom(Var("v"), "=", y), leaf("emp"))))
+        res = Prover().prove(ctx, goal)
+        assert res.ok and res.ticks == 7
+
+    def test_inner_binder_shadows_outer(self):
+        ctx = ProofContext((), (PointsTo(x, "f", y),))
+        cell = leaf("; pt(x, f, v) ; 0")
+        # the inner v is an existential that matching instantiates with y
+        assert Prover().prove(ctx, Forall("v", Exists("v", cell))).ok
+        # the inner v is a fresh rigid variable, which y need not equal
+        assert not Prover().prove(ctx, Exists("v", Forall("v", cell))).ok
+
     def test_existential_clause_variables_unify(self):
         ctx = ProofContext((), (PointsTo(x, "next", y), PointsTo(x, "data", IntLit(3))))
         res = Prover().prove(ctx, leaf("exists v w. ; pt(x, next, v), pt(x, data, w) ; 0"))
@@ -503,6 +523,142 @@ class TestEndToEnd:
         first = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
         second = [tuple(str(c) for c in Prover().prove_vc(vc).constraints) for vc in vcs]
         assert first == second
+
+
+def getfield_chain(b):
+    """b blocks of `load p; getfield next; pop`: each getfield binds the value
+    it reads, so the binders above a clause grow with its offset."""
+    body = []
+    for i in range(b):
+        body += [f"  {3 * i}: load p", f"  {3 * i + 1}: getfield next", f"  {3 * i + 2}: pop"]
+    body += [f"  {3 * b}: iconst 0", f"  {3 * b + 1}: return"]
+    return (
+        "proc main(p:ref) {\n"
+        "  requires: exists q. ; pt(p, next, q) ; 0\n"
+        "  ensures: exists q. ; pt(p, next, q) ; 0\n\n" + "\n".join(body) + "\n}\n\nentry main\n"
+    )
+
+
+class TestEnvironmentPassing:
+    def test_getfield_chain_substitutes_linearly(self, monkeypatch):
+        # the prover applies its environment only to the clause it matches,
+        # so substitution work grows linearly with the path; rewriting the
+        # rest of the goal at every binder would grow it about x4 per doubling
+        calls = 0
+        real = assertions.map_atom
+
+        def counting(a, f, arg):
+            nonlocal calls
+            calls += 1
+            return real(a, f, arg)
+
+        monkeypatch.setattr(assertions, "map_atom", counting)
+        monkeypatch.setattr(prover, "map_atom", counting)
+        # vcgen recurses once per instruction: 300 of them leave less than
+        # 100 frames of the default recursion limit for the caller
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 3000))
+        counts, ticks = [], []
+        try:
+            for b in (25, 50, 100):
+                prog = parse_program(getfield_chain(b))
+                assert validate(prog) == []
+                vcs = gen_program_vcs(prog)
+                calls = total = 0
+                for vc in vcs:
+                    res = Prover().prove_vc(vc)
+                    assert res.ok, str(res.failure)
+                    total += res.ticks
+                counts.append(calls)
+                ticks.append(total)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ticks == [128, 253, 503]
+        assert counts[1] <= 2.2 * counts[0] and counts[2] <= 2.2 * counts[1], counts
+
+    @pytest.mark.parametrize("name", ["frying_pan", "merge_inner", "queue", "tree_copy"])
+    def test_goals_reach_the_search_unrewritten(self, name):
+        # every goal dispatched is a node of the VC's consequent itself, so
+        # the continuation vcgen shares between the arms of a branch reaches
+        # the search as one object
+        def nodes(g):
+            yield g
+            for child in (getattr(g, "rest", None), getattr(g, "left", None), getattr(g, "right", None)):
+                if child is not None:
+                    yield from nodes(child)
+
+        class Recording(Prover):
+            def _go(self, ctx, goal, env, depth):
+                seen.append(goal)
+                return super()._go(ctx, goal, env, depth)
+
+        prog = parse_program((CORPUS_DIR / f"{name}.amr").read_text())
+        for vc in gen_program_vcs(prog):
+            seen = []
+            assert Recording().prove_vc(vc).ok
+            own = {id(g) for g in nodes(vc.consequent)}
+            assert seen and all(id(g) in own for g in seen), vc.vc_id
+
+
+    @staticmethod
+    def outcome(res):
+        # fresh names may differ only by the `~k` suffixes goal rewriting
+        # adds where a substituted term could be captured
+        fail = re.sub(r"~\d+", "", res.failure.message) if res.failure else None
+        return res.ok, res.constraints, fail, res.ticks, res.branches
+
+    def test_agrees_with_goal_rewriting_on_the_corpus(self):
+        checked = 0
+        for path in sorted(CORPUS_DIR.glob("*.amr")):
+            try:
+                vcs = gen_program_vcs(parse_program(path.read_text()))
+            except VcgenError:
+                continue
+            for vc in vcs:
+                got, want = Prover().prove_vc(vc), RewritingProver().prove_vc(vc)
+                assert got == want, vc.vc_id
+                checked += 1
+        assert checked >= 20
+
+    def test_agrees_with_goal_rewriting_on_random_goals(self):
+        # nested quantifiers over a few names, which shadow each other, the
+        # context's x and the clauses' own existentials; the candidate
+        # fallback substitutes context terms under them
+        rng = random.Random(14)
+        shapes = TestReferenceProver()
+
+        def clause(terms):
+            exists = (rng.choice(("e", "x")),) if rng.random() < 0.4 else ()
+            terms += tuple(Var(n) for n in exists)
+            pure = shapes.random_pure(rng, terms, rng.randint(0, 1))
+            return Clause(exists, pure, shapes.random_heap(rng, terms, rng.randint(0, 2)), rng.choice(shapes.ANNS))
+
+        def goal(bound, depth):
+            terms = shapes.TERMS + tuple(Var(n) for n in sorted(bound))
+            kind = rng.randrange(7) if depth else 0
+            if kind == 0:
+                return Leaf((clause(terms),))
+            if kind in (1, 2):
+                return (Star, Wand)[kind - 1]((clause(terms),), goal(bound, depth - 1))
+            if kind == 3:
+                cond = PureAtom(rng.choice(terms), rng.choice(("=", "!=")), rng.choice(terms))
+                return Implies(cond, goal(bound, depth - 1))
+            if kind == 4:
+                return And(goal(bound, depth - 1), goal(bound, depth - 1))
+            name = rng.choice(("v", "w", "x", "e"))
+            return (Forall, Exists)[kind - 5](name, goal(bound | {name}, depth - 1))
+
+        seen = {"ok": 0, "failed": 0, "renamed": 0}
+        for case in range(600):
+            pure, heap, resource, _ = shapes.random_case(rng)
+            g = goal(frozenset(), rng.randint(1, 5))
+            label = f"case {case}: {ProofContext(pure, heap, resource)} |- {g}"
+            got = Prover(max_work=5000).prove(ProofContext(pure, heap, resource), g)
+            want = RewritingProver(max_work=5000).prove(ProofContext(pure, heap, resource), g)
+            assert self.outcome(got) == self.outcome(want), label
+            seen["ok" if got.ok else "failed"] += 1
+            seen["renamed"] += got != want
+        assert seen["ok"] >= 100 and seen["failed"] >= 100, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Resource monoid and annotation-expression arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,3 +64,72 @@ class TestResourceExpr:
         val = {v: Fraction(2, 3) for v in "abcd"}
         assert (e1 + e2).eval(val) == e1.eval(val) + e2.eval(val)
         assert (e1 - e2).eval(val) == e1.eval(val) - e2.eval(val)
+
+
+class RefExpr:
+    """Fraction-only reference for `ResourceExpr`: a constant and a map of
+    nonzero coefficients, all `Fraction`s."""
+
+    def __init__(self, constant, terms):
+        self.constant = Fraction(constant)
+        self.terms = {n: Fraction(c) for n, c in terms.items() if c != 0}
+
+    def combine(self, other, sign):
+        terms = dict(self.terms)
+        for n, c in other.terms.items():
+            terms[n] = terms.get(n, Fraction(0)) + sign * c
+        return RefExpr(self.constant + sign * other.constant, terms)
+
+    def eval(self, valuation):
+        return self.constant + sum((c * valuation[n] for n, c in self.terms.items()), Fraction(0))
+
+    def __str__(self):
+        parts = []
+        for n in sorted(self.terms):
+            c = self.terms[n]
+            parts.append(f"${n}" if c == 1 else f"-${n}" if c == -1 else f"{c}*${n}")
+        if self.constant != 0 or not parts:
+            parts.append(str(self.constant))
+        return parts[0] + "".join(f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:])
+
+
+class TestIntegerCoefficients:
+    @staticmethod
+    def mixed(rng, value):
+        """`value` as an int when integral and the coin says so, else as a
+        Fraction (possibly an integral one)."""
+        if value.denominator == 1 and rng.random() < 0.5:
+            return int(value)
+        return Fraction(value)
+
+    def test_agrees_with_fraction_reference(self):
+        rng = random.Random(20261019)
+        names = "abcd"
+
+        def value():
+            return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
+
+        def draw():
+            const = value()
+            terms = {n: value() for n in rng.sample(names, rng.randint(0, 4))}
+            expr = ResourceExpr.make(self.mixed(rng, const), {n: self.mixed(rng, c) for n, c in terms.items()})
+            return expr, RefExpr(const, terms)
+
+        def agrees(expr, ref):
+            assert expr.constant == ref.constant and dict(expr.terms) == ref.terms
+            for c in (expr.constant, *dict(expr.terms).values()):
+                # integral values are stored as int, the others as Fraction
+                assert type(c) is (int if c.denominator == 1 else Fraction), (expr, c)
+            assert str(expr) == str(ref)
+            # the same expression written with Fractions only
+            plain = ResourceExpr(ref.constant, tuple(sorted(ref.terms.items())))
+            assert expr == plain and hash(expr) == hash(plain)
+
+        for _ in range(2000):
+            (e1, r1), (e2, r2) = draw(), draw()
+            agrees(e1, r1)
+            agrees(e1 + e2, r1.combine(r2, 1))
+            agrees(e1 - e2, r1.combine(r2, -1))
+            valuation = {n: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for n in names}
+            got = e1.eval(valuation)
+            assert type(got) is Fraction and got == r1.eval(valuation)

@@ -53,11 +53,12 @@ def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False)
 
     scale = vm._scale(ZERO, [ins])
     rule, operand = vm._decode(ins, {}, scale)
-    f = vm._Frame("f", [], list(reversed(stack)), dict(locals_ or {}), 0)
+    f = ["f", [], list(reversed(stack)), dict(locals_ or {}), 0]
     m = vm._Machine(AcquisitionPolicy(decide), dict(heap or {}), [f], 0, 0, scale, next_addr, 0)
-    pc = rule(m, f.stack, f.locals, operand, f.pc)
+    _, _, stack_, locals_, pc = f
+    pc = rule(m, stack_, locals_, operand, pc)
     if pc is not None:  # a call, return or overdraw saved its own
-        f.pc = pc
+        f[4] = pc
     return snapshot(m), requests
 
 
