@@ -519,7 +519,8 @@ class Prover:
     # guard it is about to match or assume; a goal variable absent from it
     # names the context variable of that name.  The values are context
     # terms, never read through ``env`` again, so an inner binder shadows an
-    # outer one and nothing can be captured.
+    # outer one and nothing can be captured.  After a ``*`` match every
+    # value that is an EVar the match bound is replaced by its binding.
 
     def _go_saturated(self, ctx, goal, env, depth) -> Optional[ConstraintSet]:
         """Prove the goal in every surviving branch, each as saturation
@@ -569,10 +570,11 @@ class Prover:
 
     def _go_star(self, ctx, goal: Star, env, depth) -> Optional[ConstraintSet]:
         for clause in goal.parts:
-            live = _live(clause, env)
-            for ctx2, theta, cons in self._match_clause(ctx, subst_clause(clause, live), depth):
-                # the match binds only EVars the clause holds: rebind those
-                bound = {k: resolve(v, theta) for k, v in live.items() if type(v) is EVar and v in theta}
+            for ctx2, theta, cons in self._match_clause(ctx, subst_clause(clause, _live(clause, env)), depth):
+                # rebind every goal variable whose EVar the match bound, also
+                # one the clause does not mention: an earlier match may have
+                # made two goal variables hold the same EVar
+                bound = {k: resolve(v, theta) for k, v in env.items() if type(v) is EVar and v in theta}
                 sub = self._go(ctx2, goal.rest, {**env, **bound} if bound else env, depth + 1)
                 if sub is not None:
                     return merge_constraints(cons, sub)

@@ -600,6 +600,20 @@ class TestEnvironmentPassing:
             assert seen and all(id(g) in own for g in seen), vc.vc_id
 
 
+    def test_star_match_rebinds_every_variable_holding_its_existential(self):
+        # `a = b` binds ?a to ?b, so both goal variables hold ?b; matching
+        # pt(y, g, a) binds ?b to z, which b must see too: z != q, so
+        # pt(w, h, b) cannot match pt(w, h, q)
+        w, q = Var("w"), Var("q")
+        ctx = ProofContext((PureAtom(z, "!=", q),), (PointsTo(y, "g", z), PointsTo(w, "h", q)))
+        goal = Exists(
+            "a",
+            Exists("b", Star(parse_assertion("a = b ; ; 0"), Star(parse_assertion("; pt(y, g, a) ; 0"), leaf("; pt(w, h, b) ; 0")))),
+        )
+        got, want = Prover().prove(ctx, goal), RewritingProver().prove(ctx, goal)
+        assert not want.ok
+        assert self.outcome(got) == self.outcome(want)
+
     @staticmethod
     def outcome(res):
         # fresh names may differ only by the `~k` suffixes goal rewriting
@@ -635,7 +649,7 @@ class TestEnvironmentPassing:
 
         def goal(bound, depth):
             terms = shapes.TERMS + tuple(Var(n) for n in sorted(bound))
-            kind = rng.randrange(7) if depth else 0
+            kind = rng.randrange(8) if depth else 0
             if kind == 0:
                 return Leaf((clause(terms),))
             if kind in (1, 2):
@@ -645,6 +659,15 @@ class TestEnvironmentPassing:
                 return Implies(cond, goal(bound, depth - 1))
             if kind == 4:
                 return And(goal(bound, depth - 1), goal(bound, depth - 1))
+            if kind == 7:
+                # two existentials equated before either is matched: a
+                # later match that binds one through its clause binds both
+                a, b = rng.sample(("v", "w", "x", "e"), 2)
+                eq = Clause((), (PureAtom(Var(a), "=", Var(b)),), (), R(0))
+                # then a clause binds a alone, and the rest reads b alone
+                first = Clause((), (PureAtom(Var(a), "=", rng.choice(shapes.TERMS)),), (), R(0))
+                rest = Star((first,), goal(bound - {a} | {b}, depth - 1))
+                return Exists(a, Exists(b, Star((eq,), rest)))
             name = rng.choice(("v", "w", "x", "e"))
             return (Forall, Exists)[kind - 5](name, goal(bound | {name}, depth - 1))
 
@@ -739,6 +762,20 @@ class TestReferenceProver:
             for c, theta, cons in itertools.islice(prover._match_clause(ctx, clause, 0), 64)
         ]
         return out, prover._work
+
+    def test_star_match_rebinds_every_variable_holding_its_existential(self):
+        # `a = b` binds ?a to ?b, so both goal variables hold ?b; matching
+        # pt(y, g, a) binds ?b to z, which b must see too: z != q, so
+        # pt(w, h, b) cannot match pt(w, h, q)
+        w, q = Var("w"), Var("q")
+        ctx = ProofContext((PureAtom(z, "!=", q),), (PointsTo(y, "g", z), PointsTo(w, "h", q)))
+        goal = Exists(
+            "a",
+            Exists("b", Star(parse_assertion("a = b ; ; 0"), Star(parse_assertion("; pt(y, g, a) ; 0"), leaf("; pt(w, h, b) ; 0")))),
+        )
+        got, want = Prover().prove(ctx, goal), RewritingProver().prove(ctx, goal)
+        assert not want.ok
+        assert self.outcome(got) == self.outcome(want)
 
     @staticmethod
     def outcome(res):
