@@ -237,10 +237,6 @@ def analyze_program(prog: Program) -> AnalysisReport:
 
     constraints = merge_constraints(*proved)
     primary, pool = metavariable_pool(prog)
-    for c in constraints:
-        for v in (c.lhs - c.rhs).variables:
-            if v not in pool:  # fresh symbols never reach constraints, but be safe
-                pool.append(v)
 
     t2 = time.perf_counter()
     sol = solve_lexicographic(constraints, primary, pool)
@@ -255,9 +251,7 @@ def analyze_program(prog: Program) -> AnalysisReport:
             constraints=constraints,
         )
 
-    valuation = dict(sol.valuation)
-    for v in pool:
-        valuation.setdefault(v, Fraction(0))
+    valuation = sol.valuation
     # the reported valuation must satisfy every reported constraint
     for c in constraints:
         assert c.lhs.eval(valuation) >= c.rhs.eval(valuation), f"infeasible report: {c}"
@@ -593,9 +587,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         print(file=out)
     if ns.lp_dump:
         primary, pool = metavariable_pool(prog)
-        problem = problem_from_constraints(
-            report.constraints, {v: Fraction(1) for v in primary}, pool
-        )
+        problem = problem_from_constraints(report.constraints, primary, pool)
         print(lp_dump(problem), end="", file=out)
         print(file=out)
 

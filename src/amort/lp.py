@@ -7,6 +7,9 @@ Everything here is exact: a feasible answer satisfies every constraint
 exactly, and the published corpus values are reproduced bit-for-bit rather
 than within a tolerance.
 
+A problem is sparse from the start: each constraint's terms become one
+``{column: coefficient}`` row, and every variable it mentions a column.
+
 The solver is a sparse, fraction-free two-phase primal simplex.  Each row
 holds integer numerators ``{column: int}`` and an integer right-hand side
 over one positive denominator, kept in lowest terms; a pivot combines rows
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .resources import ZERO, ResourceExpr
+from .resources import ResourceExpr
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,18 +44,15 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min objective . y  subject to  rows . y >= bounds,  y >= 0."""
+    """min objective . y  subject to  rows . y >= bounds,  y >= 0.
+
+    Each row and the objective is sparse: a ``{column: nonzero coefficient}``
+    map, a column being an index into ``variables``.  Coefficients and
+    bounds are ``int`` or ``Fraction``."""
 
     variables: tuple[str, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    objective: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        for coeffs, _ in self.rows:
-            if len(coeffs) != len(self.variables):
-                raise ValueError("row width does not match variable count")
-        if len(self.objective) != len(self.variables):
-            raise ValueError("objective width does not match variable count")
+    rows: tuple[tuple[dict, int | Fraction], ...]
+    objective: dict
 
 
 @dataclass(frozen=True)
@@ -68,50 +68,32 @@ class LpSolution:
         return self.status == OPTIMAL
 
 
-def _expr_row(expr: ResourceExpr, variables: Sequence[str]) -> tuple[Fraction, ...]:
-    coeffs = expr.coeff_map()
-    return tuple(coeffs.get(v, ZERO) for v in variables)
-
-
 def problem_from_constraints(
     constraints: Iterable,
-    objective: Mapping[str, Fraction] | Sequence[str],
-    variables: Optional[Sequence[str]] = None,
+    objective: Sequence[str],
+    variables: Sequence[str] = (),
 ) -> LpProblem:
-    """Normalise prover constraints (lhs >= rhs) into standard form.
+    """Normalise prover constraints (lhs >= rhs) into standard form, with
+    the sum of the ``objective`` variables to minimise.
 
-    ``objective`` is either a coefficient map or a plain list of variable
-    names (unit weights).  When ``variables`` is omitted the order is first
-    appearance in the constraints, then the objective — deterministic as
-    long as the constraint order is.
+    The columns are ``variables``, then every other variable of the
+    constraints and the objective in order of first appearance, so none is
+    dropped; the order is deterministic as long as the constraint order is.
     """
-    cons = list(constraints)
-    if not isinstance(objective, Mapping):
-        objective = {name: Fraction(1) for name in objective}
-    if variables is None:
-        seen: dict[str, None] = {}
-        for c in cons:
-            for v in c.diff().variables:
-                seen.setdefault(v)
-        for v in objective:
-            seen.setdefault(v)
-        variables = tuple(seen)
-    else:
-        variables = tuple(variables)
+    col = {v: j for j, v in enumerate(variables)}
     rows = []
-    for c in cons:
+    for c in constraints:
         diff = c.diff()  # diff >= 0, i.e. coeffs . y >= -constant
-        rows.append((_expr_row(diff, variables), -diff.constant))
-    obj = tuple(Fraction(objective.get(v, 0)) for v in variables)
-    return LpProblem(variables, tuple(rows), obj)
+        rows.append(({col.setdefault(v, len(col)): a for v, a in diff.terms}, -diff.constant))
+    obj = {col.setdefault(v, len(col)): 1 for v in objective}
+    return LpProblem(tuple(col), tuple(rows), obj)
 
 
 def lp_dump(p: LpProblem) -> str:
     """The normalised problem in a stable line-per-item text form."""
 
     def render(coeffs) -> str:
-        expr = ResourceExpr.make(0, dict(zip(p.variables, coeffs)))
-        return str(expr)
+        return str(ResourceExpr.make(0, {p.variables[j]: c for j, c in coeffs.items()}))
 
     lines = [f"min: {render(p.objective)};"]
     for i, (coeffs, bound) in enumerate(p.rows, start=1):
@@ -135,9 +117,9 @@ class _Row:
     den: int
 
     @staticmethod
-    def scaled(coeffs: Mapping[int, Fraction], rhs: Fraction = ZERO) -> "_Row":
-        """The row of rational ``coeffs`` and ``rhs`` (``Fraction`` or ``int``)
-        over the lcm of their denominators."""
+    def scaled(coeffs: Mapping[int, int | Fraction], rhs: int | Fraction = 0) -> "_Row":
+        """The row of rational ``coeffs`` and ``rhs`` (each ``int`` or
+        ``Fraction``) over the lcm of their denominators."""
         den = math.lcm(rhs.denominator, *(v.denominator for v in coeffs.values()))
         nums = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items()}
         return _Row(nums, rhs.numerator * (den // rhs.denominator), den)
@@ -179,7 +161,7 @@ class _Tableau:
         self.basis = basis
         self.pivots = 0
 
-    def cost_row(self, cost: Mapping[int, Fraction]) -> _Row:
+    def cost_row(self, cost: Mapping[int, int | Fraction]) -> _Row:
         """Reduced costs of ``cost`` on the current basis."""
         z = _Row.scaled(cost)
         for row, b in zip(self.rows, self.basis):
@@ -233,14 +215,14 @@ class _Tableau:
             self.pivot(leave, enter, z)
 
 
-def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSolution:
+def solve(p: LpProblem, secondary: Optional[Mapping[int, int | Fraction]] = None) -> LpSolution:
     """Two-phase simplex.  Optimal solutions satisfy every row exactly;
     infeasible problems come back with Farkas multipliers y >= 0 such that
     y.A <= 0 componentwise yet y.b > 0.  These are the phase-1 duals: the
     final reduced costs of the slack and surplus columns, whose structural
     reduced costs give y.A <= 0 and whose y.b is the positive phase-1 optimum.
 
-    With ``secondary`` (one coefficient per variable) the optimum is
+    With ``secondary`` (a sparse cost row like ``p.objective``) the optimum is
     lexicographic: once ``p.objective`` is optimal, every column with a
     positive reduced cost is barred from entry, which confines the search to
     the primary optimal face, and Bland's rule continues from the same basis
@@ -253,7 +235,7 @@ def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSol
     basis: list[int] = []
     n_art = 0
     for i, (coeffs, bound) in enumerate(p.rows):
-        row = _Row.scaled({j: c for j, c in enumerate(coeffs) if c}, bound)
+        row = _Row.scaled(coeffs, bound)
         if bound <= 0:
             # flip to  -coeffs . y <= -bound  with a basic slack
             row.nums = {j: -v for j, v in row.nums.items()}
@@ -294,7 +276,7 @@ def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSol
     for cost in (p.objective, secondary):
         if cost is None:
             continue
-        z = t.cost_row({j: c for j, c in enumerate(cost) if c})
+        z = t.cost_row(cost)
         if t.bland(z, barred) == UNBOUNDED:
             return LpSolution(UNBOUNDED, pivots=t.pivots)
         # objective = optimum + sum(d_j * x_j) on every feasible point, so the
@@ -305,7 +287,7 @@ def solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSol
     for b, row in zip(t.basis, t.rows):
         if b < n:
             valuation[p.variables[b]] = Fraction(row.rhs, row.den)
-    value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
+    value = sum((c * valuation[p.variables[j]] for j, c in p.objective.items()), Fraction(0))
     return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
 
 
@@ -322,7 +304,7 @@ def solve_lexicographic(
     the remaining pool, so reported annotations are tight everywhere and
     alternate-optimum noise cannot leak into the output.  One solve: the
     secondary objective continues from the primary optimal basis."""
-    p = problem_from_constraints(constraints, list(primary), variables)
+    p = problem_from_constraints(constraints, primary, variables)
     primary_set = set(primary)
-    secondary = tuple(Fraction(0) if v in primary_set else Fraction(1) for v in p.variables)
-    return solve(p, secondary if any(secondary) else None)
+    secondary = {j: 1 for j, v in enumerate(p.variables) if v not in primary_set}
+    return solve(p, secondary or None)

@@ -29,9 +29,10 @@ Search structure:
   substitution thus costs the same however many binders lie above the
   clause, and a goal that two paths share reaches the search as one object.
 
-The search always terminates: besides the structural arguments, a depth cap
-and a global work budget turn any runaway exploration into an ordinary
-failure with diagnostics.
+The search always terminates: besides the structural arguments, a global
+work budget turns any runaway exploration into an ordinary failure with
+diagnostics.  The depth (one per goal connective, so at most the goal's
+height) only ranks failures for the diagnostic.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ class ProofResult:
 
 
 class _SearchBound(Exception):
-    """Raised internally when the depth cap or work budget is exhausted."""
+    """Raised internally when the work budget is exhausted."""
 
 
 def match_resource(avail: ResourceExpr, want: ResourceExpr):
@@ -268,18 +269,6 @@ def match_resource(avail: ResourceExpr, want: ResourceExpr):
     that the pool really covered the payment.  Never fails; an impossible
     payment surfaces as an unsatisfiable constraint at LP time."""
     return avail - want, (Constraint(avail, want),)
-
-
-def _goal_size(g: Goal) -> int:
-    if isinstance(g, Leaf):
-        return 1 + sum(len(c.heap) + len(c.pure) + 1 for c in g.parts)
-    if isinstance(g, (Star, Wand)):
-        return 1 + sum(len(c.heap) + len(c.pure) + 1 for c in g.parts) + _goal_size(g.rest)
-    if isinstance(g, And):
-        return 1 + _goal_size(g.left) + _goal_size(g.right)
-    if isinstance(g, (Implies, Forall, Exists)):
-        return 1 + _goal_size(g.rest)
-    raise TypeError(g)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +284,9 @@ class Prover:
     different instances keeps results independent and reproducible.
     """
 
-    def __init__(self, max_depth: int = 64, max_work: int = 200_000):
-        self.max_depth = max_depth
+    def __init__(self, max_work: int = 200_000):
         self.max_work = max_work
         self._work = max_work
-        self._depth_cap = max_depth
         self._clock = 0
         self._rigid_birth: dict[str, int] = {}
         self._best_fail: Optional[tuple[int, str]] = None
@@ -309,7 +296,6 @@ class Prover:
 
     def prove(self, ctx: ProofContext, goal: Goal) -> ProofResult:
         self._work = self.max_work
-        self._depth_cap = max(self.max_depth, len(ctx.heap) + _goal_size(goal))
         self._best_fail = None
         self._branches = 0
         try:
@@ -357,12 +343,10 @@ class Prover:
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def _tick(self, depth: int) -> None:
+    def _tick(self) -> None:
         self._work -= 1
         if self._work < 0:
             raise _SearchBound(f"work budget {self.max_work}")
-        if depth > self._depth_cap:
-            raise _SearchBound(f"depth cap {self._depth_cap}")
 
     def _note_fail(self, depth: int, msg: str) -> None:
         if self._best_fail is None or depth >= self._best_fail[0]:
@@ -430,7 +414,7 @@ class Prover:
         """
         stack = [ctx]
         while stack:
-            self._tick(0)
+            self._tick()
             c = self._pure_closure(stack.pop())
             if c.pc.contradictory():
                 continue
@@ -534,7 +518,7 @@ class Prover:
         return cons
 
     def _go(self, ctx: ProofContext, goal: Goal, env: Env, depth: int) -> Optional[ConstraintSet]:
-        self._tick(depth)
+        self._tick()
         if isinstance(goal, Leaf):
             return self._go_leaf(ctx, goal, env, depth)
         if isinstance(goal, Star):
@@ -655,7 +639,7 @@ class Prover:
         if not goal_atoms:
             yield ctx, theta, cons
             return
-        self._tick(depth)
+        self._tick()
         head = map_atom(goal_atoms[0], resolve, theta)
         tail = goal_atoms[1:]
         matched = False

@@ -138,6 +138,16 @@ def _gauss_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[lis
     return [Fraction(a[i][n], prev) for i in range(n)]
 
 
+def _dense(p: LpProblem) -> tuple[list, list[Fraction]]:
+    """``p``'s rows as ``(coefficient list, bound)`` pairs and its objective
+    as a coefficient list, one ``Fraction`` per variable."""
+
+    def dense(coeffs) -> list[Fraction]:
+        return [Fraction(coeffs.get(j, 0)) for j in range(len(p.variables))]
+
+    return [(dense(coeffs), Fraction(bound)) for coeffs, bound in p.rows], dense(p.objective)
+
+
 def enumerate_vertices_oracle(p: LpProblem, max_vars: int = 6, max_rows: int = 12) -> LpSolution:
     """Independent optimum: try every basic point (intersection of n active
     constraints drawn from the rows and the axes), keep the feasible ones,
@@ -146,10 +156,11 @@ def enumerate_vertices_oracle(p: LpProblem, max_vars: int = 6, max_rows: int = 1
     m = len(p.rows)
     if n > max_vars or m > max_rows:
         raise LpSizeError(f"oracle limited to {max_vars} variables / {max_rows} rows")
-    if any(c < 0 for c in p.objective):
+    if any(c < 0 for c in p.objective.values()):
         raise LpSizeError("oracle requires a nonnegative objective")
 
-    planes = [(list(coeffs), bound) for coeffs, bound in p.rows]
+    rows, objective = _dense(p)
+    planes = list(rows)
     for j in range(n):
         axis = [Fraction(0)] * n
         axis[j] = Fraction(1)
@@ -159,7 +170,7 @@ def enumerate_vertices_oracle(p: LpProblem, max_vars: int = 6, max_rows: int = 1
         if any(v < 0 for v in pt):
             return False
         return all(
-            sum(c * v for c, v in zip(coeffs, pt)) >= bound for coeffs, bound in p.rows
+            sum(c * v for c, v in zip(coeffs, pt)) >= bound for coeffs, bound in rows
         )
 
     best_val = None
@@ -170,7 +181,7 @@ def enumerate_vertices_oracle(p: LpProblem, max_vars: int = 6, max_rows: int = 1
         pt = _gauss_solve(mat, rhs)
         if pt is None or not feasible(pt):
             continue
-        val = sum((c * v for c, v in zip(p.objective, pt)), Fraction(0))
+        val = sum((c * v for c, v in zip(objective, pt)), Fraction(0))
         if best_val is None or val < best_val:
             best_val = val
             best_pt = pt
@@ -199,8 +210,8 @@ def pinned_lexicographic(
     if not secondary:
         return s1
     # pin: sum of primary <= optimum (the >= direction is already implied)
-    pin_coeffs = tuple(Fraction(-1) if v in primary_set else Fraction(0) for v in variables)
     p2 = problem_from_constraints(cons, secondary, variables)
+    pin_coeffs = {j: -1 for j, v in enumerate(p2.variables) if v in primary_set}
     rows = p2.rows + ((pin_coeffs, -s1.objective),)
     s2 = solve(LpProblem(p2.variables, rows, p2.objective))
     assert s2.optimal  # s1's solution is feasible for p2
@@ -286,14 +297,14 @@ def _eliminate(target: dict, f: Fraction, row: dict) -> None:
                 del target[k]
 
 
-def reference_solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None) -> LpSolution:
+def reference_solve(p: LpProblem, secondary: Optional[Mapping[int, Fraction]] = None) -> LpSolution:
     """Two-phase simplex.  Optimal solutions satisfy every row exactly;
     infeasible problems come back with Farkas multipliers y >= 0 such that
     y.A <= 0 componentwise yet y.b > 0.  These are the phase-1 duals: the
     final reduced costs of the slack and surplus columns, whose structural
     reduced costs give y.A <= 0 and whose y.b is the positive phase-1 optimum.
 
-    With ``secondary`` (one coefficient per variable) the optimum is
+    With ``secondary`` (a sparse cost row like ``p.objective``) the optimum is
     lexicographic: once ``p.objective`` is optimal, every column with a
     positive reduced cost is barred from entry, which confines the search to
     the primary optimal face, and Bland's rule continues from the same basis
@@ -307,7 +318,7 @@ def reference_solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None
     basis: list[int] = []
     n_art = 0
     for i, (coeffs, bound) in enumerate(p.rows):
-        row = {j: Fraction(c) for j, c in enumerate(coeffs) if c != 0}
+        row = {j: Fraction(c) for j, c in coeffs.items()}
         if bound <= 0:
             # flip to  -coeffs . y <= -bound  with a basic slack
             row = {j: -v for j, v in row.items()}
@@ -348,7 +359,7 @@ def reference_solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None
     for cost in (p.objective, secondary):
         if cost is None:
             continue
-        z = t.cost_row({j: Fraction(c) for j, c in enumerate(cost) if c != 0})
+        z = t.cost_row({j: Fraction(c) for j, c in cost.items()})
         if t.bland(z, barred) == UNBOUNDED:
             return LpSolution(UNBOUNDED, pivots=t.pivots)
         # objective = optimum + sum(d_j * x_j) on every feasible point, so the
@@ -359,18 +370,19 @@ def reference_solve(p: LpProblem, secondary: Optional[Sequence[Fraction]] = None
     for b, x in zip(t.basis, t.rhs):
         if b < n:
             valuation[p.variables[b]] = x
-    value = sum((c * valuation[v] for c, v in zip(p.objective, p.variables)), Fraction(0))
+    value = sum((c * valuation[p.variables[j]] for j, c in p.objective.items()), Fraction(0))
     return LpSolution(OPTIMAL, valuation, value, pivots=t.pivots)
 
 
 def verify_certificate(p: LpProblem, cert: Sequence[Fraction]) -> bool:
     """``cert >= 0`` with ``cert . A <= 0`` componentwise and ``cert . b > 0``."""
-    if len(cert) != len(p.rows) or any(c < 0 for c in cert):
+    rows, _ = _dense(p)
+    if len(cert) != len(rows) or any(c < 0 for c in cert):
         return False
     for j in range(len(p.variables)):
-        if sum(cert[i] * p.rows[i][0][j] for i in range(len(p.rows))) > 0:
+        if sum(cert[i] * rows[i][0][j] for i in range(len(rows))) > 0:
             return False
-    return sum(cert[i] * p.rows[i][1] for i in range(len(p.rows))) > 0
+    return sum(cert[i] * rows[i][1] for i in range(len(rows))) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +573,7 @@ class ReferenceProver(Prover):
         if not goal_atoms:
             yield ctx, theta, cons
             return
-        self._tick(depth)
+        self._tick()
         head = _resolve_heap_atom(goal_atoms[0], theta)
         tail = goal_atoms[1:]
         matched = False
@@ -769,11 +781,11 @@ def _resolve_goal(g: Goal, theta) -> Goal:
 class RewritingProver(Prover):
     def _go(self, ctx, goal, env, depth):
         if isinstance(goal, Forall):
-            self._tick(depth)
+            self._tick()
             v = self._fresh_rigid(ctx, goal.var)
             return self._go(ctx, subst_goal(goal.rest, {goal.var: v}), env, depth + 1)
         if isinstance(goal, Exists):
-            self._tick(depth)
+            self._tick()
             e = self._fresh_evar(ctx, goal.var)
             res = self._go(ctx, subst_goal(goal.rest, {goal.var: e}), env, depth + 1)
             if res is not None:

@@ -459,6 +459,9 @@ def test_criterion_07_prover_vs_model_check():
 
 
 def test_criterion_08_lp_oracle_agreement():
+    def sparse(coeffs):  # drawn dense, so every seeded draw stays as it was
+        return {j: c for j, c in enumerate(coeffs) if c}
+
     rng = random.Random(743902718)
     agreed = 0
     for trial in range(200):
@@ -470,7 +473,7 @@ def test_criterion_08_lp_oracle_agreement():
             for _ in range(m)
         )
         objective = tuple(F(rng.randint(0, 3)) for _ in range(n))
-        p = LpProblem(variables, rows, objective)
+        p = LpProblem(variables, tuple((sparse(c), b) for c, b in rows), sparse(objective))
         got = solve(p)
         want = enumerate_vertices_oracle(p)
         assert got.status == want.status, f"trial {trial}:\n{lp_dump(p)}"

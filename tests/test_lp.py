@@ -30,11 +30,16 @@ V = ResourceExpr.var
 C = ResourceExpr.const
 
 
+def sparse(coeffs):
+    """The ``{column: nonzero coefficient}`` map of a coefficient list."""
+    return {j: F(c) for j, c in enumerate(coeffs) if c}
+
+
 def problem(variables, rows, objective):
     return LpProblem(
         tuple(variables),
-        tuple((tuple(F(c) for c in coeffs), F(b)) for coeffs, b in rows),
-        tuple(F(c) for c in objective),
+        tuple((sparse(coeffs), F(b)) for coeffs, b in rows),
+        sparse(objective),
     )
 
 
@@ -85,7 +90,7 @@ class TestSolve:
         assert s.optimal
         pt = [s.valuation[v] for v in p.variables]
         for coeffs, bound in p.rows:
-            assert sum(c * v for c, v in zip(coeffs, pt)) >= bound
+            assert sum(c * pt[j] for j, c in coeffs.items()) >= bound
 
     def test_determinism(self):
         p = problem(["a", "b"], [((1, 1), 4), ((2, 1), 5)], [1, 1])
@@ -134,14 +139,22 @@ class TestProblemBuilding:
         cons = [Constraint(V("x"), C(1)), Constraint(V("y") + C(2), V("x"))]
         p = problem_from_constraints(cons, ["x"])
         assert p.variables == ("x", "y")
-        assert p.rows[0] == ((F(1), F(0)), F(1))  # x >= 1
-        assert p.rows[1] == ((F(-1), F(1)), F(-2))  # -x + y >= -2
+        assert p.rows[0] == ({0: F(1)}, F(1))  # x >= 1
+        assert p.rows[1] == ({0: F(-1), 1: F(1)}, F(-2))  # -x + y >= -2
         s = solve(p)
         assert s.optimal and s.valuation["x"] == 1
 
+    def test_constraint_variables_outside_the_pool_get_columns(self):
+        # every constraint variable is a column, even one missing from
+        # `variables`: its coefficient is never dropped
+        p = problem_from_constraints([Constraint(V("x"), C(1))], ["y"], ["y"])
+        assert p.variables == ("y", "x")
+        assert lp_dump(p) == "min: $y;\nc1: $x >= 1;\n"
+        s = solve(p)
+        assert s.optimal and s.valuation == {"y": F(0), "x": F(1)}
+
     def test_dump_is_stable_text(self):
-        cons = [Constraint(V("x") + V("y"), C(4))]
-        p = problem_from_constraints(cons, {"x": F(1), "y": F(2)})
+        p = problem(["x", "y"], [((1, 1), 4)], [1, 2])
         assert lp_dump(p) == "min: $x + 2*$y;\nc1: $x + $y >= 4;\n"
 
 
@@ -230,7 +243,7 @@ class TestReferenceSolver:
             p = problem([f"v{i}" for i in range(n)], rows, obj)
             secondary = None
             if trial % 2:
-                secondary = tuple(F(rng.randint(0, 2), rng.choice(denominators)) for _ in range(n))
+                secondary = sparse([F(rng.randint(0, 2), rng.choice(denominators)) for _ in range(n)])
             got = solve(p, secondary)
             assert got == reference_solve(p, secondary), f"trial {trial}: {lp_dump(p)} {secondary}"
             statuses.add(got.status)

@@ -446,7 +446,7 @@ class TestProve:
         deep = leaf("; ; 0")
         for _ in range(100):
             deep = Forall("v", deep)
-        res = Prover(max_depth=16, max_work=50).prove(ProofContext(), deep)
+        res = Prover(max_work=50).prove(ProofContext(), deep)
         assert not res.ok
         assert "bound exceeded" in res.failure.message
 
