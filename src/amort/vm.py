@@ -9,35 +9,43 @@ supplied policy.
 Values are Python ints, `Addr` objects, or None for null.  Heaps map
 (address, field name) pairs to values.
 
-There is one machine, one rule per instruction and one driver.  The
-machine is a heap dict and a list of frames, each with a list stack (top
-at the end), a locals dict and a pc.  `run` copies the caller's heap once
-into a fresh machine and decodes each procedure once: its code becomes a
-list of (rule, operand) pairs taken from `_RULES`, with the operand read
-off the instruction in advance (a `call` carries its callee's decoded code
-and arity).  `_drive` holds the active frame's code, stack, locals and pc
-in local variables and applies the pairs: a rule updates the stack,
-locals and heap in place and returns the next pc, so a step costs the
-same at any heap size or call depth.  Only `call`, `return` and a budget
-overdraw touch the frame list or end the run; they save the pc into the
-frame themselves and return None, and the driver reloads the active frame.
+There is one machine and one compiler.  The machine is a heap dict and a
+list of frames, each with a list stack (top at the end), a locals dict and
+a pc; calls and returns push and pop frames on that list, never on
+Python's own stack.  The first `run` of a program compiles it to Python:
+one source template per opcode turns each procedure into a loop with one
+arm per basic block, and into one function per instruction for single
+steps, and one `exec` defines them all.  The result is cached for as long
+as the program object lives.  Inside a block, the values it pushes and
+pops live in Python locals and reach the frame's list stack only when
+control leaves the block; every instruction keeps its own checks and its
+own `Stuck` reason.  `_drive` enters the active procedure's loop, which
+runs whole blocks while the fuel left covers them and follows jumps,
+calls and returns within the procedure.  When the fuel left is short of
+the next block, or the pc is inside one, instructions run one at a time,
+so a run stops after exactly as many steps as `fuel` allows.  `run`
+copies the caller's heap once into a fresh machine.
 
 The machine counts consumed and total allowed as integers in units of
-1/scale, where scale is the lcm of the budget's denominator and of every
-`consume` amount's in the program; `consume_dyn` and a granted `acquire`
-of z add z * scale.  Every outcome reports the exact rational amounts.
+1/scale, where scale is the lcm of every `consume` amount's denominator
+in the program, so the compiled code serves every budget.  A budget's
+fractional part in those units is kept apart: an integer amount consumed
+exceeds the total exactly when it exceeds the total's integer part.
+`consume_dyn` and a granted `acquire` of z add z * scale.  Every outcome
+reports the exact rational amounts.
 """
 
 from __future__ import annotations
 
-import operator
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .bytecode import Instr, Program
+from .bytecode import BRANCHES, Instr, Program, successors
 from .resources import ResourceValue, res_of_int
 
 
@@ -111,9 +119,26 @@ class VmError(Exception):
     fuel, or a bad acquisition policy script."""
 
 
-class _StuckSignal(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+class _Stop(Exception):
+    """The run ends inside a block.  `back` counts the block's steps after
+    the one that ended it, and `left` is the fuel left once the whole block
+    was charged, set by whoever ran the block."""
+
+    left = None
+
+
+class _StuckSignal(_Stop):
+    """No rule applies at `pc`."""
+
+    def __init__(self, reason: str, pc: Optional[int] = None, back: int = 0):
+        self.reason, self.pc, self.back = reason, pc, back
+
+
+class _Finished(_Stop):
+    """The run ends in `outcome`, a `Halt` or a `BudgetViolation`."""
+
+    def __init__(self, outcome, back: int):
+        self.outcome, self.back = outcome, back
 
 
 class AcquisitionPolicy:
@@ -168,58 +193,35 @@ def parse_policy(text: str) -> AcquisitionPolicy:
 
 
 # ---------------------------------------------------------------------------
-# the machine: every rule updates it in place
+# the machine
 
 
 # A live frame is a list [proc, code, stack, locals, pc]: the procedure's
-# name, its decoded code, a list stack whose top is its last element, a
-# locals dict and the pc (slots 0 to 4).  `_drive` unpacks the active one
-# into local variables.
+# name, its compiled code (a `_Proc`), a list stack whose top is its last
+# element, a locals dict and the pc (slots 0 to 4).
 
 
 class _Machine:
     """The live state of a run: heap, frames (active last), consumed and total
-    allowed as integers in units of 1/`scale`, the next fresh address and the
-    number of `acquire` requests so far, plus the acquisition policy.  A
-    terminal outcome (`Halt`, `BudgetViolation`) is recorded in `outcome`."""
+    allowed in units of 1/`scale`, the next fresh address and the number of
+    `acquire` requests so far, plus the acquisition policy.  `consumed` and
+    `total` are ints; the total's fractional part, which no comparison with
+    an integer `consumed` can see, is kept apart in `spare`.  `blocks`
+    counts the blocks entered so far."""
 
     __slots__ = (
-        "policy", "heap", "frames", "consumed", "total", "scale", "next_addr", "acquire_count",
-        "outcome",
+        "policy", "heap", "frames", "consumed", "total", "spare", "scale", "next_addr",
+        "acquire_count", "blocks",
     )
 
-    def __init__(self, policy, heap, frames, consumed, total, scale, next_addr, acquire_count):
+    def __init__(self, policy, heap, frames, total, spare, scale, next_addr):
         self.policy, self.heap, self.frames = policy, heap, frames
-        self.consumed, self.total, self.scale = consumed, total, scale
-        self.next_addr, self.acquire_count = next_addr, acquire_count
-        self.outcome = None
+        self.consumed, self.total, self.spare, self.scale = 0, total, spare, scale
+        self.next_addr, self.acquire_count, self.blocks = next_addr, 0, 0
 
     def amounts(self) -> tuple[ResourceValue, ResourceValue]:
         """(consumed, total allowed) as exact resource amounts."""
-        return Fraction(self.consumed, self.scale), Fraction(self.total, self.scale)
-
-
-def _pop(stack: list) -> Value:
-    if not stack:
-        raise _StuckSignal("stack underflow")
-    return stack.pop()
-
-
-def _pop2(stack: list) -> tuple[Value, Value]:
-    """Pop the top two values, top first."""
-    if len(stack) < 2:
-        raise _StuckSignal("stack underflow")
-    return stack.pop(), stack.pop()
-
-
-_CMP = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
+        return Fraction(self.consumed, self.scale), (self.total + self.spare) / self.scale
 
 
 def _int_div(a: int, b: int) -> int:
@@ -231,149 +233,8 @@ def _int_rem(a: int, b: int) -> int:
     return a - _int_div(a, b) * b
 
 
-_ALU = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": _int_div,
-    "rem": _int_rem,
-}
-
-
-# Each rule takes (machine, active frame's stack, its locals, decoded
-# operand, pc), updates them in place and returns the next pc.  `call`,
-# `return` and a budget overdraw instead save the pc into the frame, switch
-# frames or record a terminal outcome on the machine, and return None.  A
-# rule raises _StuckSignal, before touching the budget, when none applies.
-
-
-def _iconst(m, stack, locals_, value, pc):
-    stack.append(value)
-    return pc + 1
-
-
-def _aconst_null(m, stack, locals_, _, pc):
-    stack.append(None)
-    return pc + 1
-
-
-def _pop_rule(m, stack, locals_, _, pc):
-    if not stack:
-        raise _StuckSignal("stack underflow")
-    stack.pop()
-    return pc + 1
-
-
-def _load(m, stack, locals_, slot, pc):
-    try:
-        stack.append(locals_[slot])
-    except KeyError:
-        raise _StuckSignal(f"load of uninitialised local {slot}") from None
-    return pc + 1
-
-
-def _store(m, stack, locals_, slot, pc):
-    if not stack:
-        raise _StuckSignal("stack underflow")
-    locals_[slot] = stack.pop()
-    return pc + 1
-
-
-def _ibinop(m, stack, locals_, operand, pc):
-    alu, fn = operand
-    z1, z2 = _pop2(stack)
-    if not (isinstance(z1, int) and isinstance(z2, int)):
-        raise _StuckSignal(f"ibinop {alu} on non-integer operands")
-    if alu in ("div", "rem") and z2 == 0:
-        raise _StuckSignal("division by zero")
-    stack.append(fn(z1, z2))
-    return pc + 1
-
-
-def _binarycmp(m, stack, locals_, operand, pc):
-    cmp, fn, target = operand
-    z1, z2 = _pop2(stack)
-    ints = isinstance(z1, int) and isinstance(z2, int)
-    if cmp in ("eq", "ne"):
-        if not (ints or (is_ref(z1) and is_ref(z2))):
-            raise _StuckSignal(f"binarycmp {cmp} on mixed operand types")
-    elif not ints:
-        raise _StuckSignal(f"binarycmp {cmp} requires integer operands")
-    return target if fn(z1, z2) else pc + 1
-
-
-def _unarycmp(m, stack, locals_, operand, pc):
-    cmp, fn, target = operand
-    z = _pop(stack)
-    if not isinstance(z, int):
-        raise _StuckSignal(f"unarycmp {cmp} requires an integer operand")
-    return target if fn(z, 0) else pc + 1
-
-
-def _ifnull(m, stack, locals_, target, pc):
-    if not stack:
-        raise _StuckSignal("stack underflow")
-    a = stack.pop()
-    if a is None:
-        return target
-    if isinstance(a, Addr):
-        return pc + 1
-    raise _StuckSignal("ifnull on an integer operand")
-
-
-def _goto(m, stack, locals_, target, pc):
-    return target
-
-
-_DEFAULTS = {"int": 0, "ref": None}
-
-
-def _new(m, stack, locals_, cells, pc):
-    a = Addr(m.next_addr)
-    m.next_addr += 1
-    heap = m.heap
-    for fname, default in cells:
-        heap[(a, fname)] = default
-    stack.append(a)
-    return pc + 1
-
-
-def _getfield(m, stack, locals_, field, pc):
-    if not stack:
-        raise _StuckSignal("stack underflow")
-    a = stack[-1]
-    if not isinstance(a, Addr):
-        raise _StuckSignal(f"getfield {field} on {value_str(a)}")
-    try:
-        stack[-1] = m.heap[(a, field)]
-    except KeyError:
-        raise _StuckSignal(f"getfield {field}: cell absent at {a}") from None
-    return pc + 1
-
-
-def _putfield(m, stack, locals_, field, pc):
-    a, v = _pop2(stack)
-    if not isinstance(a, Addr):
-        raise _StuckSignal(f"putfield {field} on {value_str(a)}")
-    cell = (a, field)
-    heap = m.heap
-    if cell not in heap:
-        raise _StuckSignal(f"putfield {field}: cell absent at {a}")
-    heap[cell] = v
-    return pc + 1
-
-
-def _free(m, stack, locals_, fields, pc):
-    a = _pop(stack)
-    if not isinstance(a, Addr):
-        raise _StuckSignal(f"free on {value_str(a)}")
-    heap = m.heap
-    missing = [fname for fname in fields if (a, fname) not in heap]
-    if missing:
-        raise _StuckSignal(f"free at {a}: field {missing[0]} absent")
-    for fname in fields:
-        del heap[(a, fname)]
-    return pc + 1
+def _stuck(reason: str, pc: int, back: int):
+    raise _StuckSignal(reason, pc, back)
 
 
 # consumed <= total holds until a charge overdraws it (it holds at the start,
@@ -381,173 +242,426 @@ def _free(m, stack, locals_, fields, pc):
 # own.  A violation ends the run, so the active frame keeps the pc it has.
 
 
-def _overdraw(m, pc):
+def _overdraw(m: _Machine, pc: int, back: int):
     f = m.frames[-1]
     f[4] = pc
-    m.outcome = BudgetViolation(f[0], pc, *m.amounts())
+    raise _Finished(BudgetViolation(f[0], pc, *m.amounts()), back)
 
 
-def _consume(m, stack, locals_, amount, pc):
-    m.consumed += amount
-    if m.consumed > m.total:
-        return _overdraw(m, pc)
-    return pc + 1
+# ---------------------------------------------------------------------------
+# compiling a program to Python
+#
+# One source template per opcode: (values popped, whether it pushes one,
+# code).  The popped values are {z1} (the top), {z2}, ... and the pushed one
+# is assigned to {out}.  Inside a block these are Python locals; a value
+# the block did not push is popped off the frame's list stack, after an
+# underflow test.  Code that leaves the block first puts the values the
+# block still holds back on the list stack ({flush}).  A template raises
+# through `_stuck` when no rule applies, before it touches the budget; {at}
+# is the pc and the number of the block's steps after it.
+#
+# The code runs in one of two places, which fill in how control leaves an
+# instruction ({to_target}, {to_next}, {called}, {returned}): an arm of its
+# procedure's loop, or a function that runs that one instruction.  Both see
+# the machine `m`, the active frame `f`, `frames`, `heap`, and the active
+# frame's `stack` and `locals_`.
+
+_TEMPLATES = {
+    "iconst": (0, True, "{out} = {value!r}\n"),
+    "aconst_null": (0, True, "{out} = None\n"),
+    "pop": (1, False, ""),
+    "load": (0, True, """\
+try:
+    {out} = locals_[{slot!r}]
+except KeyError:
+    _stuck("load of uninitialised local %s" % ({slot!r},), {at})
+"""),
+    "store": (1, False, "locals_[{slot!r}] = {z1}\n"),
+    "ibinop": (2, True, """\
+if not (isinstance({z1}, int) and isinstance({z2}, int)):
+    _stuck("ibinop %s on non-integer operands" % ({alu!r},), {at})
+{zero_test}{out} = {result}
+"""),
+    "binarycmp": (2, False, """\
+if not ({operands_ok}):
+    _stuck("binarycmp %s {operands_why}" % ({cmp!r},), {at})
+if {z1} {rel} {z2}:
+    {flush}{to_target}
+{flush}{to_next}
+"""),
+    "unarycmp": (1, False, """\
+if not isinstance({z1}, int):
+    _stuck("unarycmp %s requires an integer operand" % ({cmp!r},), {at})
+if {z1} {rel} 0:
+    {flush}{to_target}
+{flush}{to_next}
+"""),
+    "ifnull": (1, False, """\
+if {z1} is None:
+    {flush}{to_target}
+if not isinstance({z1}, Addr):
+    _stuck("ifnull on an integer operand", {at})
+{flush}{to_next}
+"""),
+    "goto": (0, False, "{flush}{to_target}\n"),
+    "new": (0, True, """\
+{out} = Addr(m.next_addr)
+m.next_addr += 1
+{cells}"""),
+    "getfield": (1, True, """\
+if not isinstance({z1}, Addr):
+    _stuck("getfield %s on %s" % ({field!r}, value_str({z1})), {at})
+try:
+    {out} = heap[{z1}, {field!r}]
+except KeyError:
+    _stuck("getfield %s: cell absent at %s" % ({field!r}, {z1}), {at})
+"""),
+    "putfield": (2, False, """\
+if not isinstance({z1}, Addr):
+    _stuck("putfield %s on %s" % ({field!r}, value_str({z1})), {at})
+if ({z1}, {field!r}) not in heap:
+    _stuck("putfield %s: cell absent at %s" % ({field!r}, {z1}), {at})
+heap[{z1}, {field!r}] = {z2}
+"""),
+    "free": (1, False, """\
+if not isinstance({z1}, Addr):
+    _stuck("free on %s" % (value_str({z1}),), {at})
+{cells}"""),
+    "consume": (0, False, """\
+m.consumed = c = m.consumed + {units}
+if c > m.total:
+    _overdraw(m, {at})
+"""),
+    "consume_dyn": (1, False, """\
+if not isinstance({z1}, int):
+    _stuck("consume_dyn requires an integer operand", {at})
+if {z1} > 0:
+    m.consumed = c = m.consumed + {z1} * {scale}
+    if c > m.total:
+        _overdraw(m, {at})
+"""),
+    "acquire": (1, True, """\
+if not isinstance({z1}, int):
+    _stuck("acquire requires an integer operand", {at})
+{out} = m.policy.decide(m.acquire_count, res_of_int({z1}))
+m.acquire_count += 1
+if {out} and {z1} > 0:
+    m.total += {z1} * {scale}
+{out} = 1 if {out} else 0
+"""),
+    # the top of the stack becomes the callee's local 0
+    "call": (None, False, """\
+{flush}f[4] = {nxt}
+stack = []
+locals_ = {{{args}}}
+f = [{callee!r}, {code}, stack, locals_, 0]
+frames.append(f)
+{called}"""),
+    "return": (1, False, """\
+frames.pop()
+if not frames:
+    raise _Finished(Halt(m.heap, *m.amounts(), {z1}), 0)
+f = frames[-1]
+f[2].append({z1})
+{returned}"""),
+}
+# an instruction no rule executes gets stuck when it is reached
+_NO_RULE = (0, False, "_stuck({reason!r}, {at})\n")
+
+_REL = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+_RESULT = {
+    "add": "{z1} + {z2}",
+    "sub": "{z1} - {z2}",
+    "mul": "{z1} * {z2}",
+    "div": "_int_div({z1}, {z2})",
+    "rem": "_int_rem({z1}, {z2})",
+}
+_DEFAULTS = {"int": 0, "ref": None}
+_ENDS_BLOCK = ("goto", "call", "return", *BRANCHES)
+# a block runs on through the pcs jumps reach until it is this long, so no
+# instruction is compiled into more than this many blocks plus one
+_LONG_BLOCK = 16
 
 
-def _consume_dyn(m, stack, locals_, _, pc):
-    z = _pop(stack)
-    if not isinstance(z, int):
-        raise _StuckSignal("consume_dyn requires an integer operand")
-    if z > 0:
-        m.consumed += z * m.scale
-        if m.consumed > m.total:
-            return _overdraw(m, pc)
-    return pc + 1
+class _Proc(NamedTuple):
+    """A procedure compiled: `run(m, f, left)` runs its blocks from the pc
+    of its active frame `f`, `sizes` maps each pc a block starts at to the
+    block's steps, and `steps` maps every pc to the function that runs one
+    step there."""
+
+    run: Callable
+    sizes: dict
+    steps: dict
 
 
-def _acquire(m, stack, locals_, _, pc):
-    z = _pop(stack)
-    if not isinstance(z, int):
-        raise _StuckSignal("acquire requires an integer operand")
-    granted = m.policy.decide(m.acquire_count, res_of_int(z))
-    m.acquire_count += 1
-    if granted and z > 0:
-        m.total += z * m.scale
-    stack.append(1 if granted else 0)
-    return pc + 1
-
-
-def _call(m, stack, locals_, operand, pc):
-    callee, code, n = operand
-    # the top of the stack becomes local 0; most calls take one argument,
-    # and skipping the loop for them makes replay-walk ~10% faster
-    if n == 1 and stack:
-        callee_locals = {0: stack.pop()}
-    else:
-        if len(stack) < n:
-            raise _StuckSignal(f"call {callee}: stack underflow")
-        callee_locals = {}
-        for i in range(n):
-            callee_locals[i] = stack.pop()
-    frames = m.frames
-    frames[-1][4] = pc + 1
-    frames.append([callee, code, [], callee_locals, 0])
-
-
-def _return(m, stack, locals_, _, pc):
-    if not stack:
-        raise _StuckSignal("return with an empty stack")
-    v = stack[-1]
-    frames = m.frames
-    frames.pop()
-    if frames:
-        frames[-1][2].append(v)
-    else:
-        m.outcome = Halt(m.heap, *m.amounts(), v)
-
-
-def _stuck(m, stack, locals_, reason, pc):
-    raise _StuckSignal(reason)
-
-
-_RULES = {
-    "iconst": _iconst,
-    "aconst_null": _aconst_null,
-    "pop": _pop_rule,
-    "load": _load,
-    "store": _store,
-    "ibinop": _ibinop,
-    "binarycmp": _binarycmp,
-    "unarycmp": _unarycmp,
-    "ifnull": _ifnull,
-    "goto": _goto,
-    "new": _new,
-    "getfield": _getfield,
-    "putfield": _putfield,
-    "free": _free,
-    "consume": _consume,
-    "consume_dyn": _consume_dyn,
-    "acquire": _acquire,
-    "call": _call,
-    "return": _return,
+# the names compiled code reads besides its own
+_GLOBALS = {
+    "Addr": Addr, "Halt": Halt, "_Finished": _Finished, "_Proc": _Proc, "_Stop": _Stop,
+    "_int_div": _int_div, "_int_rem": _int_rem, "_overdraw": _overdraw, "_stuck": _stuck,
+    "res_of_int": res_of_int, "value_str": value_str,
 }
 
 
-def _scale(budget: ResourceValue, instrs: Iterable[Instr]) -> int:
-    """The lcm of the budget's denominator and every `consume` amount's."""
-    dens = [ins.amount.denominator for ins in instrs if ins.op == "consume" and ins.amount]
-    return lcm(budget.denominator, *dens)
-
-
-def _decode(ins: Instr, codes: dict, scale: int) -> tuple:
-    """The (rule, operand) pair that executes `ins`.
-
-    `codes` maps each procedure name to its (decoded code, arity); a
-    `call` carries its callee's, and a `consume` its amount in units of
-    1/`scale`.  An instruction that no rule executes decodes to one that
-    gets stuck when it is reached."""
+def _operand_fields(ins: Instr, fields: dict, callees: dict, scale: int) -> dict:
+    """The fields of `ins`'s template that depend on more than one operand."""
     op = ins.op
-    rule = _RULES.get(op)
-    if rule is None:
-        return _stuck, f"no rule for {op}"
-    if op == "iconst":
-        return rule, ins.value
-    if op in ("load", "store"):
-        return rule, ins.slot
+    at = fields["at"]
     if op == "ibinop":
-        return rule, (ins.alu, _ALU[ins.alu])
-    if op in ("binarycmp", "unarycmp"):
-        return rule, (ins.cmp, _CMP[ins.cmp], ins.target)
-    if op in ("ifnull", "goto"):
-        return rule, ins.target
+        zero = ins.alu in ("div", "rem")
+        return {
+            "zero_test": f"if {fields['z2']} == 0:\n    _stuck('division by zero', {at})\n" if zero else "",
+            "result": _RESULT[ins.alu].format(**fields),
+        }
+    if op == "binarycmp":
+        ints = "isinstance({z1}, int) and isinstance({z2}, int)".format(**fields)
+        if ins.cmp in ("eq", "ne"):
+            refs = "({z1} is None or isinstance({z1}, Addr)) and ({z2} is None or isinstance({z2}, Addr))"
+            ok, why = f"{ints} or {refs.format(**fields)}", "on mixed operand types"
+        else:
+            ok, why = ints, "requires integer operands"
+        return {"operands_ok": ok, "operands_why": why, "rel": _REL[ins.cmp]}
+    if op == "unarycmp":
+        return {"rel": _REL[ins.cmp]}
     if op == "new":
-        return rule, tuple((fname, _DEFAULTS[ftype]) for fname, ftype in ins.desc.entries)
+        cells = (f"heap[{fields['out']}, {n!r}] = {_DEFAULTS[t]!r}\n" for n, t in ins.desc.entries)
+        return {"cells": "".join(cells)}
     if op == "free":
-        return rule, ins.desc.fields()
-    if op in ("getfield", "putfield"):
-        return rule, ins.field
+        a, names = fields["z1"], ins.desc.fields()
+        tests = (
+            f"if ({a}, {n!r}) not in heap:\n"
+            f"    _stuck('free at %s: field %s absent' % ({a}, {n!r}), {at})\n"
+            for n in names
+        )
+        return {"cells": "".join(tests) + "".join(f"del heap[{a}, {n!r}]\n" for n in names)}
     if op == "consume":
-        a = ins.amount or 0
-        return rule, a.numerator * (scale // a.denominator)
+        a = Fraction(ins.amount or 0)
+        return {"units": a.numerator * (scale // a.denominator)}
     if op == "call":
-        if ins.callee not in codes:
-            return _stuck, f"call to absent procedure {ins.callee}"
-        return rule, (ins.callee, *codes[ins.callee])
-    return rule, None
+        code, arity = callees[ins.callee]
+        args = ", ".join(f"{i}: {fields[f'z{i + 1}']}" for i in range(arity))
+        return {"code": code, "args": args}
+    return {"scale": scale}
+
+
+def _block_body(code: Sequence[Instr], start: int, end: int, exits, callees: dict, scale: int) -> str:
+    """The code that runs code[start:end], a straight run of instructions of
+    which only the last may leave it.  `exits(ins, pc)` gives the code that
+    leaves it for a pc, after a call and after a return."""
+    body, held, names = [], [], count()
+
+    def flush() -> str:
+        if not held:
+            return ""
+        if len(held) == 1:
+            return f"stack.append({held[0]}); "
+        return f"stack.extend(({', '.join(held)})); "
+
+    for pc in range(start, end):
+        ins = code[pc]
+        op = ins.op
+        fields = {**vars(ins), "pc": pc, "nxt": pc + 1, "at": f"{pc}, {end - 1 - pc}"}
+        template = _TEMPLATES.get(op, _NO_RULE)
+        if op == "call" and ins.callee not in callees:
+            template = _NO_RULE
+            fields["reason"] = f"call to absent procedure {ins.callee}"
+        elif template is _NO_RULE:
+            fields["reason"] = f"no rule for {op}"
+        popped, pushes, text = template
+        if popped is None:
+            popped = callees[ins.callee][1]
+        # the top values first, from the block's own and then off the list
+        own = min(popped, len(held))
+        values = [held.pop() for _ in range(own)]
+        if own < popped:
+            need = popped - own
+            why = "stack underflow"
+            if op == "call":
+                why = f"call {ins.callee}: stack underflow"
+            elif op == "return":
+                why = "return with an empty stack"
+            test = "not stack" if need == 1 else f"len(stack) < {need}"
+            body.append(f"if {test}:\n    _stuck({why!r}, {fields['at']})\n")
+            for _ in range(need):
+                values.append(f"s{next(names)}")
+                body.append(f"{values[-1]} = stack.pop()\n")
+        fields.update((f"z{i + 1}", v) for i, v in enumerate(values))
+        if pushes:
+            fields["out"] = f"s{next(names)}"
+        fields["flush"] = flush()
+        fields.update(exits(ins, pc))
+        if template is not _NO_RULE:
+            fields.update(_operand_fields(ins, fields, callees, scale))
+        body.append(text.format(**fields))
+        if pushes:
+            held.append(fields["out"])
+    if code[end - 1].op not in _ENDS_BLOCK:
+        body.append(flush() + exits(code[end - 1], end - 1)["to_next"] + "\n")
+    return "".join(body)
+
+
+def _indent(text: str, depth: int) -> str:
+    return "".join(f"{'    ' * depth}{line}\n" for line in text.splitlines())
+
+
+def _outside(pc: int) -> str:
+    """The code for a pc outside the procedure's code: it gets stuck."""
+    return f"_stuck({f'pc {pc} out of range'!r}, {pc}, 0)\n"
+
+
+def _procedure_source(i: int, code: Sequence[Instr], callees: dict, scale: int) -> str:
+    """Python source that defines `C{i}`, procedure `i` compiled (a `_Proc`).
+
+    A block starts at each pc that a jump, a call's return or the entry can
+    reach, inside or outside the code.  It runs every instruction up to and
+    including the next that may leave it, passing the pcs other jumps
+    reach, until it holds `_LONG_BLOCK` instructions; outside the code it
+    gets stuck at once.  `P{i}` is a loop with one arm per block.  It
+    enters an arm while the fuel left covers the whole block, and follows
+    jumps, calls to and returns into procedure `i`; it returns the fuel
+    left otherwise, with the pc in the active frame.  `o{i}_{pc}` runs the
+    one instruction at pc and returns the next pc, or None after a call or
+    a return."""
+    size = len(code)
+    starts = {0} | {t for pc, ins in enumerate(code) for t in successors(ins, pc)
+                    if ins.op in _ENDS_BLOCK or t != pc + 1 or not 0 <= t < size}
+    me = f"C{i}"
+
+    def in_loop(ins, pc):
+        callee = callees.get(ins.callee, (None,))[0]
+        return {
+            "to_target": f"pc = {ins.target!r}; continue",
+            "to_next": f"pc = {pc + 1}; continue",
+            "called": "pc = 0; continue\n" if callee == me else "return left\n",
+            "returned": f"if f[1] is not {me}:\n    return left\n_, _, stack, locals_, pc = f\ncontinue\n",
+        }
+
+    def alone(ins, pc):
+        return {"to_target": f"return {ins.target!r}", "to_next": f"return {pc + 1}",
+                "called": "return None\n", "returned": "return None\n"}
+
+    parts, arms, sizes = [], [], {}
+    for pc in sorted(starts):
+        if 0 <= pc < size:
+            end = pc + 1
+            while end < size and code[end - 1].op not in _ENDS_BLOCK and (
+                end - pc < _LONG_BLOCK or end not in starts
+            ):
+                end += 1
+            body = _block_body(code, pc, end, in_loop, callees, scale)
+        else:
+            end, body = pc + 1, _outside(pc)
+        sizes[pc] = end - pc
+        arms.append((pc, f"if left < {end - pc}:\n    break\nleft -= {end - pc}\nentered += 1\n{body}"))
+
+    def dispatch(arms, depth):
+        if len(arms) == 1:
+            return _indent(arms[0][1], depth)
+        half = len(arms) // 2
+        return (f"{'    ' * depth}if pc < {arms[half][0]}:\n" + dispatch(arms[:half], depth + 1)
+                + f"{'    ' * depth}else:\n" + dispatch(arms[half:], depth + 1))
+
+    parts.append(
+        f"def P{i}(m, f, left):\n"
+        "    frames, heap, entered = m.frames, m.heap, 0\n"
+        "    _, _, stack, locals_, pc = f\n"
+        "    try:\n"
+        "        while True:\n"
+        + dispatch(arms, 3)
+        + "        f[4] = pc\n"
+        "        return left\n"
+        "    except _Stop as e:\n"
+        "        e.left = left\n"
+        "        raise\n"
+        "    finally:\n"
+        "        m.blocks += entered\n"
+    )
+    steps = {}
+    for pc in range(size):
+        steps[pc] = f"o{i}_{pc}"
+        body = _block_body(code, pc, pc + 1, alone, callees, scale)
+        parts.append(f"def o{i}_{pc}(m, f):\n"
+                     "    frames, heap, stack, locals_ = m.frames, m.heap, f[2], f[3]\n" + _indent(body, 1))
+    for pc in sizes:
+        if not 0 <= pc < size:
+            steps[pc] = f"o{i}_x{len(steps)}"
+            parts.append(f"def {steps[pc]}(m, f):\n" + _indent(_outside(pc), 1))
+    table = ", ".join(f"{pc}: {fn}" for pc, fn in steps.items())
+    parts.append(f"{me} = _Proc(P{i}, {sizes!r}, {{{table}}})\n")
+    return "".join(parts)
+
+
+# id(program) -> (weak reference to it, its _Code); an entry goes when its
+# program does, so a fresh program that reuses the id is compiled anew
+_COMPILED: dict = {}
+
+
+class _Code(NamedTuple):
+    procs: dict  # procedure name -> _Proc
+    scale: int  # lcm of the denominators of every `consume` amount
+
+
+def _compile(program: Program) -> _Code:
+    """`program` as Python: one exec per program, cached for its lifetime.
+
+    `consume` amounts are compiled as integers in units of 1/scale, which
+    depends only on the program, so one compilation serves every budget."""
+    key = id(program)
+    hit = _COMPILED.get(key)
+    if hit is not None and hit[0]() is program:
+        return hit[1]
+    # the first procedure of a name wins, as in `Program.proc`
+    procs = {p.name: p for p in reversed(program.procedures)}
+    scale = lcm(*(ins.amount.denominator for p in procs.values() for ins in p.code
+                  if ins.op == "consume" and ins.amount))
+    callees = {name: (f"C{i}", p.arity) for i, (name, p) in enumerate(procs.items())}
+    source = "".join(_procedure_source(i, p.code, callees, scale) for i, p in enumerate(procs.values()))
+    namespace = dict(_GLOBALS)
+    exec(compile(source, f"<amort.vm: {program.entry}>", "exec"), namespace)
+    compiled = _Code({name: namespace[c] for name, (c, _) in callees.items()}, scale)
+
+    def forget(ref):
+        if _COMPILED.get(key, (None,))[0] is ref:
+            del _COMPILED[key]
+
+    _COMPILED[key] = (weakref.ref(program, forget), compiled)
+    return compiled
 
 
 def _drive(m: _Machine, fuel: int) -> tuple[object, int]:
-    """Apply rules until a terminal outcome or `fuel` steps.
+    """Run the machine until a terminal outcome or `fuel` steps.
 
-    Returns (outcome, steps), with outcome None when the fuel ran out.
-    While it runs, the active frame's code, stack, locals and pc live in
-    local variables; they are reloaded from `m.frames` after a rule returns
-    None (a call, a return or an overdraw).  On every exit the pc is back
-    in its frame, so the machine is whole between calls and `_drive(m, 1)`
-    steps it one rule at a time.
+    Returns (outcome, steps), with outcome None when the fuel ran out.  The
+    active procedure's loop runs whole blocks while the fuel left covers
+    them; once it does not, or at a pc no block starts at, one instruction
+    runs at a time.  A run that stops inside a block counts the block's
+    steps after the stop back.  On every exit the pc is in its frame, so
+    the machine is whole between calls and `_drive(m, 1)` steps it one
+    instruction at a time.
     """
     frames = m.frames
-    f = frames[-1]
-    _, code, stack, locals_, pc = f
+    left = fuel
     try:
-        for steps in range(1, fuel + 1):
-            if pc < 0:  # as a list index it would count from the end
-                raise _StuckSignal(f"pc {pc} out of range")
-            try:
-                rule, operand = code[pc]
-            except IndexError:
-                raise _StuckSignal(f"pc {pc} out of range") from None
-            nxt = rule(m, stack, locals_, operand, pc)
-            if nxt is None:
-                if m.outcome is not None:
-                    return m.outcome, steps
-                f = frames[-1]
-                _, code, stack, locals_, nxt = f
-            pc = nxt
-    except _StuckSignal as s:
-        f[4] = pc
-        return Stuck(s.reason, f[0], pc), steps
-    f[4] = pc
+        while left:
+            f = frames[-1]
+            run, sizes, steps = f[1]
+            pc = f[4]
+            if sizes.get(pc, left + 1) <= left:
+                left = run(m, f, left)
+            else:
+                left -= 1
+                m.blocks += 1
+                nxt = steps[pc](m, f)
+                if nxt is not None:
+                    f[4] = nxt
+    except _Stop as e:
+        if e.left is None:
+            e.left = left
+        steps = fuel - e.left - e.back
+        if isinstance(e, _Finished):
+            return e.outcome, steps
+        f = frames[-1]
+        f[4] = e.pc
+        return Stuck(e.reason, f[0], e.pc), steps
     return None, fuel
 
 
@@ -561,6 +675,9 @@ class RunResult:
     steps: int
     consumed: ResourceValue
     total: ResourceValue
+    # compiled blocks entered: a count of dispatches that no machine's speed
+    # changes; not part of the JSON outcome
+    blocks: int = 0
 
     @property
     def kind(self) -> str:
@@ -592,25 +709,20 @@ def _start(
     heap: Optional[Heap],
     next_addr: int,
 ) -> _Machine:
-    """The machine at the entry procedure, with its own copy of `heap` and
-    every procedure decoded."""
-    # the first procedure of a name wins, as in `Program.proc`
-    procs = {p.name: p for p in reversed(program.procedures)}
-    entry = procs[program.entry]
-    if len(args) != entry.arity:
-        raise VmError(f"{program.entry} expects {entry.arity} arguments, got {len(args)}")
+    """The machine at the entry procedure, with its own copy of `heap`."""
+    code = _compile(program)
+    arity = program.proc(program.entry).arity
+    if len(args) != arity:
+        raise VmError(f"{program.entry} expects {arity} arguments, got {len(args)}")
     total = Fraction(budget)
     if total < 0:
         raise VmError(f"budget must be nonnegative, got {total}")
-    scale = _scale(total, (ins for p in procs.values() for ins in p.code))
-    # every list exists before any is filled, so each call, recursive ones
-    # too, can carry its callee's
-    codes = {name: ([], p.arity) for name, p in procs.items()}
-    for name, p in procs.items():
-        codes[name][0].extend(_decode(ins, codes, scale) for ins in p.code)
-    frame = [program.entry, codes[program.entry][0], [], dict(enumerate(args)), 0]
-    units = total.numerator * (scale // total.denominator)
-    return _Machine(policy, dict(heap or {}), [frame], 0, units, scale, next_addr, 0)
+    units, spare = divmod(total.numerator * code.scale, total.denominator)
+    frame = [program.entry, code.procs[program.entry], [], dict(enumerate(args)), 0]
+    return _Machine(
+        policy, dict(heap or {}), [frame], units, Fraction(spare, total.denominator), code.scale,
+        next_addr,
+    )
 
 
 def run(
@@ -622,12 +734,12 @@ def run(
     heap: Optional[Heap] = None,
     next_addr: int = 0,
 ) -> RunResult:
-    """Apply the rules to one machine until a terminal outcome or `fuel` steps
-    elapse.  The caller's `heap` is copied once and never mutated."""
+    """Run one machine until a terminal outcome or `fuel` steps elapse.  The
+    caller's `heap` is copied once and never mutated."""
     if fuel < 0:
         raise VmError(f"fuel must be nonnegative, got {fuel}")
     m = _start(program, args, budget, policy, heap, next_addr)
     outcome, steps = _drive(m, fuel)
     if outcome is None:
         outcome = FuelExhausted(fuel)
-    return RunResult(outcome, steps, *m.amounts())
+    return RunResult(outcome, steps, *m.amounts(), m.blocks)

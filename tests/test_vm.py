@@ -1,5 +1,6 @@
 """Interpreter semantics: rule-level unit tests and whole-run behaviour."""
 
+import gc
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -37,13 +38,15 @@ PAIR = FieldDescriptor((("data", "int"), ("next", "ref")))
 
 
 def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False):
-    """Apply the shipped rule for `ins`, as the shipped decoder pairs them,
-    to a one-frame machine with total 0.
+    """Run `ins` as a one-instruction procedure for one step of the shipped
+    machine, `vm._drive(m, 1)`, with total 0.
 
     `stack` is given top first, as in the returned snapshot; the frame is
     its `frames[0]`, and `total_allowed` is what `acquire` was granted.
-    Returns (snapshot, the requests `acquire` made).  The rule's outcome is
-    dropped: a budget violation against total 0 is not these tests' concern.
+    Returns (snapshot, the requests `acquire` made), and raises
+    `_StuckSignal` with the reason of a `Stuck` outcome.  Any other outcome
+    is dropped: a budget violation against total 0 is not these tests'
+    concern.
     """
     requests = []
 
@@ -51,14 +54,14 @@ def apply_rule(ins, stack=(), locals_=None, heap=None, next_addr=0, grant=False)
         requests.append(request)
         return grant
 
-    scale = vm._scale(ZERO, [ins])
-    rule, operand = vm._decode(ins, {}, scale)
-    f = ["f", [], list(reversed(stack)), dict(locals_ or {}), 0]
-    m = vm._Machine(AcquisitionPolicy(decide), dict(heap or {}), [f], 0, 0, scale, next_addr, 0)
-    _, _, stack_, locals_, pc = f
-    pc = rule(m, stack_, locals_, operand, pc)
-    if pc is not None:  # a call, return or overdraw saved its own
-        f[4] = pc
+    prog = Program((Procedure("f", (), (), (ins,)),), "f")
+    m = vm._start(prog, [], ZERO, AcquisitionPolicy(decide), heap, next_addr)
+    f = m.frames[0]
+    f[2].extend(reversed(stack))
+    f[3].update(locals_ or {})
+    outcome, _ = vm._drive(m, 1)
+    if isinstance(outcome, Stuck):
+        raise _StuckSignal(outcome.reason)
     return snapshot(m), requests
 
 
@@ -559,6 +562,26 @@ entry main
         assert kinds == {"Stuck", "Halt"}
 
 
+    def test_long_straight_code_where_every_pc_is_a_target(self):
+        # a loop body of 40 `consume`s, each also a `goto` target: a block
+        # runs on through such targets only until it holds vm._LONG_BLOCK
+        # instructions, so the body is cut into pieces, with the loop's two
+        # stack values held across every cut
+        n, start = 40, 6
+        code = ["iconst 3", "store 0", "load 0", f"unarycmp le {start + n + 3}", "iconst -1", "load 0"]
+        code += ["consume 1/2" if k % 2 else "consume 1/3" for k in range(n)]
+        code += ["ibinop add", "store 0", "goto 2", "iconst 0", "return"]
+        code += [f"goto {start + k}" for k in range(n)]  # unreachable
+        body = "\n".join(f"  {i}: {ins}" for i, ins in enumerate(code))
+        prog = parse(f"proc main() locals i:int {{\n{body}\n}}\nentry main")
+        assert n > 2 * vm._LONG_BLOCK
+        kinds = set()
+        for budget in (Fraction(1000), Fraction(50), Fraction(15), Fraction(7, 2)):
+            for fuel in (0, 9, 17, 30, 61, 100, 100_000):
+                kinds.add(agree(prog, ([], None, 0, None), budget, ALWAYS_DENY, fuel=fuel))
+        assert kinds == {"Halt", "BudgetViolation", "FuelExhausted"}
+        assert run(prog, [], Fraction(50)).consumed == 50
+
 def rational_program(rng):
     """A seeded program whose budget arithmetic is rational: `consume p/q`
     with q in 1..6, `consume_dyn` of negative and positive integers, and
@@ -631,7 +654,9 @@ class TestRationalAccounting:
 class TestFuelSweep:
     """Every fuel value from 0 to one past the halting step: `run` and the
     stepped machine stop where the reference stops, mid-call and mid-loop
-    too, and the stepped machine's states match the reference's."""
+    too, and the stepped machine's states match the reference's.  Over the
+    ten analysable programs this stops `run` at every position inside every
+    block: before and after calls, `new` and `putfield`, and `binarycmp`."""
 
     @staticmethod
     def sweep(prog, inputs, budget, policy):
@@ -643,17 +668,114 @@ class TestFuelSweep:
                 "FuelExhausted" if k < full.steps else "Halt"
             ), k
 
-    @pytest.mark.parametrize("name", ["tree_mirror", "copy_list"])
+    @pytest.mark.parametrize("name", ANALYSABLE)
     def test_corpus_program(self, name):
         prog, sized = sized_inputs(name)
         inputs = sized[3]
         self.sweep(prog, inputs, inputs[3], ALWAYS_DENY)
+
+    def test_values_held_across_block_exits(self):
+        # a block keeps the values it pushes in Python locals: several of them
+        # must reach the list stack in order at a taken and a fallen-through
+        # branch, a goto and a call, and the subtractions show any reordering
+        code = [
+            "iconst 7", "iconst 2", "iconst 1", "unarycmp gt 5", "iconst 100",
+            "iconst 5", "iconst 4", "aconst_null", "ifnull 10", "iconst 100",
+            "iconst 3", "iconst 8", "goto 13", "call sub2",
+            "ibinop sub", "ibinop sub", "ibinop sub", "ibinop sub", "return",
+        ]
+        body = "\n".join(f"  {i}: {ins}" for i, ins in enumerate(code))
+        prog = parse(
+            f"proc main() {{\n{body}\n}}\n"
+            "proc sub2(a:int, b:int) {\n  0: load a\n  1: load b\n  2: ibinop sub\n  3: return\n}\n"
+            "entry main"
+        )
+        # sub2 gets a = 8, b = 3; the top of the stack is the left operand
+        assert run(prog, [], Fraction(0)).outcome.value == (((3 - 8) - 4) - 5) - 2 - 7
+        self.sweep(prog, ([], None, 0, None), Fraction(0), ALWAYS_DENY)
 
     # seeds whose program calls the helper, loops and acquires
     @pytest.mark.parametrize("seed", [2, 11, 17])
     def test_rational_program(self, seed):
         prog = rational_program(random.Random(seed))
         self.sweep(prog, ([], None, 0, None), Fraction(10**6), AcquisitionPolicy.seeded(seed))
+
+
+class TestBlocksEntered:
+    """`RunResult.blocks` counts the blocks a run entered: a dispatch count
+    that no machine's speed changes, kept out of the JSON outcome."""
+
+    @pytest.mark.parametrize("name, steps, blocks", [("iterate_list", 706, 202), ("tree_traverse", 1704, 602)])
+    def test_walks_at_n_100(self, name, steps, blocks):
+        prog = parse_program_file(CORPUS_DIR / f"{name}.amr")
+        entry = prog.proc(prog.entry)
+        valuation = analyze_program(prog).valuation
+        args, heap, next_addr, budget = _sized_input(classify_inputs(entry), entry, 100, valuation)
+        res = run(prog, args, budget, heap=heap, next_addr=next_addr)
+        assert (res.kind, res.steps, res.blocks) == ("Halt", steps, blocks)
+        assert "blocks" not in res.to_json()
+
+    def test_single_steps_enter_one_block_each(self):
+        prog, sized = sized_inputs("tree_traverse")
+        args, heap, next_addr, budget = sized[3]
+        m = vm._start(prog, args, budget, ALWAYS_DENY, heap, next_addr)
+        steps = 0
+        while vm._drive(m, 1)[0] is None:
+            steps += 1
+        assert m.blocks == steps + 1 == 55
+
+
+class TestCompileCache:
+    """`run` compiles a program once per process, for as long as the program
+    object lives, and the compiled code serves every budget."""
+
+    @staticmethod
+    def same_as_reference(prog, budget):
+        got = run(prog, [], budget)
+        ref, _ = reference_run(prog, [], budget)
+        assert (got.outcome, got.steps, got.consumed, got.total) == (
+            ref.outcome, ref.steps, ref.consumed, ref.total,
+        )
+        return got
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        sources = []
+
+        def counting(code, namespace):
+            sources.append(code)
+            exec(code, namespace)
+
+        monkeypatch.setattr(vm, "exec", counting, raising=False)
+        return sources
+
+    def test_one_compile_serves_every_budget(self, compiles):
+        prog = parse(
+            "proc main() {\n 0: consume 1/6\n 1: consume 1/3\n 2: iconst 0\n 3: return\n}\nentry main"
+        )
+        got = [self.same_as_reference(prog, budget) for budget in (Fraction(1), Fraction(1, 6), Fraction(1))]
+        assert [r.kind for r in got] == ["Halt", "BudgetViolation", "Halt"]
+        assert got[1].outcome.pc == 1 and got[1].consumed == Fraction(1, 2)
+        assert len(compiles) == 1
+
+    def test_programs_sharing_procedure_names_stay_apart(self, compiles):
+        progs = [rational_program(random.Random(seed)) for seed in (2, 11)]
+        assert [p.proc("helper") != progs[0].proc("helper") for p in progs] == [False, True]
+        consumed = set()
+        for _ in range(2):
+            for prog in progs:
+                consumed.add(self.same_as_reference(prog, Fraction(100)).consumed)
+        assert len(consumed) == 2
+        assert len(compiles) == 2
+
+    def test_entry_goes_with_the_program(self):
+        prog = parse("proc main() {\n 0: iconst 0\n 1: return\n}\nentry main")
+        run(prog, [], Fraction(0))
+        key = id(prog)
+        assert vm._COMPILED[key][0]() is prog
+        del prog
+        gc.collect()
+        assert key not in vm._COMPILED
 
 
 class TestAddrValues:
